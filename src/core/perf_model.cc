@@ -317,7 +317,7 @@ PerfModel::enableDiskCache(const std::string &path)
     if (!in)
         return;
     std::string line;
-    std::size_t loaded = 0;
+    std::unordered_map<MemoKey, double, MemoKeyHash> rows;
     std::size_t skipped = 0;
     std::size_t line_no = 0;
     std::size_t first_bad_line = 0;
@@ -355,9 +355,14 @@ PerfModel::enableDiskCache(const std::string &path)
         // (several studies may share one cache file); skip silently.
         if (instructions != instructions_ || seed != seed_)
             continue;
-        memo_[MemoKey{name, banks, slices}] = perf;
-        ++loaded;
+        rows[MemoKey{name, banks, slices}] = perf; // last row wins
     }
+    // A point already memoized keeps its value: callers may have read
+    // it (UtilityOptimizer's frontiers do), so the surface must not
+    // change under them.
+    std::size_t loaded = 0;
+    for (auto &[key, perf] : rows)
+        loaded += memo_.emplace(key, perf).second;
     if (skipped > 0) {
         SHARCH_WARN("ignored ", skipped, " corrupt row(s) in cache ",
                     path, " (first at line ", first_bad_line,

@@ -133,7 +133,9 @@ class PerfModel
     /**
      * Persist performance results to @p path (CSV) and preload any
      * existing entries whose (instructions, seed) match.  Lets several
-     * benchmark harnesses share one simulated surface.
+     * benchmark harnesses share one simulated surface.  Within the
+     * file the last row for a point wins, but a point this model has
+     * already memoized keeps its value.
      */
     void enableDiskCache(const std::string &path);
 

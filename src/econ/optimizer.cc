@@ -1,5 +1,6 @@
 #include "econ/optimizer.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -50,26 +51,63 @@ UtilityOptimizer::utilityAt(const std::string &benchmark, UtilityKind u,
     return utilityValue(u, v, p);
 }
 
+const std::vector<FrontierPoint> &
+UtilityOptimizer::frontier(const std::string &benchmark)
+{
+    {
+        std::lock_guard<std::mutex> lock(frontierMutex_);
+        auto it = frontiers_.find(benchmark);
+        if (it != frontiers_.end())
+            return it->second;
+    }
+    // Build outside the lock: the surface is memoized, so a racing
+    // duplicate reads the same values and the loser's copy is
+    // discarded.
+    std::vector<FrontierPoint> grid;
+    for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s) {
+        for (unsigned banks : l2BankGrid())
+            grid.push_back(FrontierPoint{
+                banks, s, perf_->performance(benchmark, banks, s)});
+    }
+    // Every point with <= Slices and <= banks comes earlier in grid
+    // order, so only the prefix can dominate a point.
+    std::vector<FrontierPoint> rows;
+    for (auto pt = grid.begin(); pt != grid.end(); ++pt) {
+        const bool dominated =
+            std::any_of(grid.begin(), pt, [&](const FrontierPoint &o) {
+                return o.slices <= pt->slices && o.banks <= pt->banks &&
+                       o.perf >= pt->perf;
+            });
+        if (!dominated)
+            rows.push_back(*pt);
+    }
+    std::lock_guard<std::mutex> lock(frontierMutex_);
+    return frontiers_.try_emplace(benchmark, std::move(rows))
+        .first->second;
+}
+
 OptResult
 UtilityOptimizer::peakUtility(const std::string &benchmark, UtilityKind u,
                               const Market &market, double budget)
 {
+    SHARCH_ASSERT(market.slicePrice >= 0.0 && market.bankPrice >= 0.0,
+                  "prices must be non-negative");
+    // A dominated shape costs no less and performs no better than the
+    // shape dominating it, which comes earlier in grid order, so it
+    // can never be the first maximum of the exhaustive sweep.
     OptResult best;
     bool first = true;
-    for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s) {
-        for (unsigned banks : l2BankGrid()) {
-            const double p = perf_->performance(benchmark, banks, s);
-            const double v =
-                coresAffordable(market, budget, banks, s);
-            const double util = utilityValue(u, v, p);
-            if (first || util > best.objective) {
-                first = false;
-                best.banks = banks;
-                best.slices = s;
-                best.perf = p;
-                best.objective = util;
-                best.cores = v;
-            }
+    for (const FrontierPoint &pt : frontier(benchmark)) {
+        const double v =
+            coresAffordable(market, budget, pt.banks, pt.slices);
+        const double util = utilityValue(u, v, pt.perf);
+        if (first || util > best.objective) {
+            first = false;
+            best.banks = pt.banks;
+            best.slices = pt.slices;
+            best.perf = pt.perf;
+            best.objective = util;
+            best.cores = v;
         }
     }
     return best;

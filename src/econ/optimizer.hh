@@ -14,7 +14,9 @@
 #ifndef SHARCH_ECON_OPTIMIZER_HH
 #define SHARCH_ECON_OPTIMIZER_HH
 
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "area/area_model.hh"
@@ -44,6 +46,17 @@ struct SurfacePoint
     double utility = 0.0;
 };
 
+/**
+ * One (banks, slices) grid point of a benchmark's Pareto frontier: no
+ * other point has <= Slices, <= banks and >= P(c, s).
+ */
+struct FrontierPoint
+{
+    unsigned banks = 0;
+    unsigned slices = 1;
+    double perf = 0.0; //!< P(c, s)
+};
+
 /** Exhaustive sweeps over the (banks, slices) grid. */
 class UtilityOptimizer
 {
@@ -58,9 +71,22 @@ class UtilityOptimizer
     OptResult peakPerfPerArea(const std::string &benchmark, int k);
     OptResult peakPerfPerArea(const BenchmarkProfile &profile, int k);
 
-    /** argmax utility under @p market and @p budget -- Tables 5/6. */
+    /**
+     * argmax utility under @p market and @p budget -- Tables 5/6.
+     * Scans frontier(@p benchmark) in grid order: the result is the
+     * exhaustive sweep's, first maximum included (DESIGN.md section
+     * 5), provided @p budget > 0 and both prices are >= 0.
+     */
     OptResult peakUtility(const std::string &benchmark, UtilityKind u,
                           const Market &market, double budget);
+
+    /**
+     * The shapes of the 72-point grid that no other shape dominates,
+     * in the sweeps' Slice-major, bank-minor order.  Built from
+     * PerfModel::performance() on first use and then kept.
+     */
+    const std::vector<FrontierPoint> &frontier(
+        const std::string &benchmark);
 
     /** Utility at one explicit configuration. */
     double utilityAt(const std::string &benchmark, UtilityKind u,
@@ -78,6 +104,9 @@ class UtilityOptimizer
   private:
     PerfModel *perf_;
     AreaModel area_;
+    std::mutex frontierMutex_; //!< guards frontiers_
+    std::unordered_map<std::string, std::vector<FrontierPoint>>
+        frontiers_;
 };
 
 } // namespace sharch

@@ -190,9 +190,19 @@ AllocationEngine::handleHeal(const Event &e)
     }
     stats_.heals++;
     lastOutcome_.applied = true;
-    if (e.fault == fault::FaultKind::Slice)
+    // Credit only capacity a fault charged.  handleFault() charges
+    // nothing when the charge would empty the market, so the market
+    // is owed a unit exactly while it sells less than the healthy
+    // count.
+    if (e.fault == fault::FaultKind::Slice &&
+        market_.sliceCapacity() <
+            static_cast<double>(fabric_.totalSlices() -
+                                fabric_.faultySlices()))
         market_.restoreCapacity(1.0, 0.0);
-    else if (e.fault == fault::FaultKind::Bank)
+    else if (e.fault == fault::FaultKind::Bank &&
+             market_.bankCapacity() <
+                 static_cast<double>(fabric_.totalBanks() -
+                                     fabric_.faultyBanks()))
         market_.restoreCapacity(0.0, 1.0);
 }
 

@@ -4,6 +4,19 @@
 
 namespace sharch::fleet {
 
+namespace {
+
+ChipLoad
+loadOf(const FabricManager &fm)
+{
+    return ChipLoad{
+        fm.totalSlices() - fm.freeSlices() - fm.faultySlices(),
+        fm.totalBanks() - fm.freeBanks() - fm.faultyBanks(),
+        fm.fragmentation()};
+}
+
+} // namespace
+
 Fleet::Fleet(UtilityOptimizer &opt, const FleetConfig &cfg)
     : opt_(&opt),
       cfg_(cfg),
@@ -34,6 +47,7 @@ Fleet::chip(ChipId id)
     if (!chips_[id]) {
         chips_[id] = std::make_unique<Chip>(*opt_, cfg_.chipWidth,
                                             cfg_.chipHeight);
+        chips_[id]->load = loadOf(chips_[id]->fabric);
         materialized_++;
     }
     return *chips_[id];
@@ -99,8 +113,9 @@ Fleet::refreshChip(ChipId id)
 {
     SHARCH_ASSERT(isMaterialized(id),
                   "cannot refresh a virgin chip");
-    const FabricManager &fm = chips_[id]->fabric;
-    index_.update(id, fm.largestFreeRun(), fm.freeBanks());
+    Chip &c = *chips_[id];
+    index_.update(id, c.fabric.largestFreeRun(), c.fabric.freeBanks());
+    c.load = loadOf(c.fabric);
 }
 
 bool
@@ -151,6 +166,21 @@ Fleet::checkIndex(std::string *error) const
         if (const Chip *c = peek(id)) {
             run = c->fabric.largestFreeRun();
             banks = c->fabric.freeBanks();
+            const ChipLoad live = loadOf(c->fabric);
+            if (c->load.usedSlices != live.usedSlices ||
+                c->load.usedBanks != live.usedBanks ||
+                c->load.fragmentation != live.fragmentation) {
+                return fail(
+                    "chip " + std::to_string(id) +
+                    " records (" + std::to_string(c->load.usedSlices) +
+                    " Slices, " + std::to_string(c->load.usedBanks) +
+                    " banks used, fragmentation " +
+                    std::to_string(c->load.fragmentation) +
+                    ") but its fabric has (" +
+                    std::to_string(live.usedSlices) + ", " +
+                    std::to_string(live.usedBanks) + ", " +
+                    std::to_string(live.fragmentation) + ")");
+            }
         }
         if (keys->first != run || keys->second != banks) {
             return fail(

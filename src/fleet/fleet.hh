@@ -49,6 +49,14 @@ struct FleetConfig
     double adjustRate = 0.25;  //!< price step per round
 };
 
+/** A chip's occupancy as epoch samples read it. */
+struct ChipLoad
+{
+    unsigned usedSlices = 0; //!< leased: neither free nor faulty
+    unsigned usedBanks = 0;
+    double fragmentation = 0.0; //!< FabricManager::fragmentation()
+};
+
 /** One materialized chip: allocator + its spot market. */
 struct Chip
 {
@@ -60,6 +68,9 @@ struct Chip
 
     FabricManager fabric;
     SpotMarket market;
+    /** The fabric's occupancy, recorded by Fleet on materialization
+     *  and on every refreshChip(); checkIndex() audits it. */
+    ChipLoad load;
 };
 
 /** Where one admission landed. */
@@ -117,8 +128,9 @@ class Fleet
     bool isFaulty(ChipId id, fault::FaultKind kind, Coord tile) const;
 
     /**
-     * Re-derive a chip's index keys after an out-of-band mutation
-     * (reshape, defragment, checkpoint restore).
+     * Re-derive a chip's index keys and its recorded ChipLoad after
+     * any fabric mutation (Fleet's own, and out-of-band ones such as
+     * reshape, defragment, checkpoint restore).
      */
     void refreshChip(ChipId id);
 
@@ -133,8 +145,9 @@ class Fleet
 
     /**
      * Every index key matches the chip it summarizes (virgin slots
-     * included).  @return false with @p error naming the first stale
-     * entry.
+     * included), and every materialized chip's recorded ChipLoad
+     * matches its fabric.  @return false with @p error naming the
+     * first stale entry.
      */
     bool checkIndex(std::string *error) const;
 

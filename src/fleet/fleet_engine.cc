@@ -223,18 +223,6 @@ FleetEngine::dropLease(
     leases_.erase(it);
 }
 
-double
-FleetEngine::chipRevenue(const Chip &c) const
-{
-    const Market &m = c.market.prices();
-    const FabricManager &fm = c.fabric;
-    const double slices = static_cast<double>(
-        fm.totalSlices() - fm.freeSlices() - fm.faultySlices());
-    const double banks = static_cast<double>(
-        fm.totalBanks() - fm.freeBanks() - fm.faultyBanks());
-    return m.slicePrice * slices + m.bankPrice * banks;
-}
-
 ChurnSample
 FleetEngine::sampleNow() const
 {
@@ -246,14 +234,19 @@ FleetEngine::sampleNow() const
     s.rejected = stats_.rejected;
     s.evictions = stats_.evictions;
     s.materialized = fleet_.materializedChips();
+    // Each chip's occupancy is the record refreshChip() keeps, so a
+    // sample reads no fabric; ascending chip id fixes the sum order.
     std::uint64_t chips = 0;
     double frag = 0.0;
     for (ChipId id = 0; id < fleet_.chipCount(); ++id) {
         const Chip *c = fleet_.peek(id);
         if (!c)
             continue;
-        s.revenue += chipRevenue(*c);
-        frag += c->fabric.fragmentation();
+        const Market &m = c->market.prices();
+        const double slices = static_cast<double>(c->load.usedSlices);
+        const double banks = static_cast<double>(c->load.usedBanks);
+        s.revenue += m.slicePrice * slices + m.bankPrice * banks;
+        frag += c->load.fragmentation;
         chips++;
     }
     if (chips > 0)
@@ -417,10 +410,20 @@ FleetEngine::handleHeal(const Event &e)
     }
     stats_.heals++;
     lastOutcome_.applied = true;
+    // Credit only capacity a fault charged.  handleFault() charges
+    // nothing when the charge would empty the market, so the market
+    // is owed a unit exactly while it sells less than the healthy
+    // count.
     Chip &c = fleet_.chip(chip);
-    if (e.fault == fault::FaultKind::Slice)
+    const FabricManager &fm = c.fabric;
+    if (e.fault == fault::FaultKind::Slice &&
+        c.market.sliceCapacity() <
+            static_cast<double>(fm.totalSlices() - fm.faultySlices()))
         c.market.restoreCapacity(1.0, 0.0);
-    else if (e.fault == fault::FaultKind::Bank)
+    else if (e.fault == fault::FaultKind::Bank &&
+             c.market.bankCapacity() <
+                 static_cast<double>(fm.totalBanks() -
+                                     fm.faultyBanks()))
         c.market.restoreCapacity(0.0, 1.0);
 }
 

@@ -196,7 +196,6 @@ class FleetEngine : public engine::EngineBase
     void dropLease(std::map<std::uint64_t, FleetLease>::iterator it);
     void degradeBookkeeping(ChipId chip,
                             const std::vector<DegradeAction> &acts);
-    double chipRevenue(const Chip &c) const;
     ChurnSample sampleNow() const;
 };
 

@@ -433,6 +433,15 @@ FleetEngine::checkInvariants(std::string *error) const
             return failWith("chip " + std::to_string(id) +
                             ": Slice occupancy does not close");
         }
+        // The market cannot sell more than the chip has.
+        if (c->market.sliceCapacity() >
+                static_cast<double>(c->fabric.totalSlices()) ||
+            c->market.bankCapacity() >
+                static_cast<double>(c->fabric.totalBanks())) {
+            return failWith("chip " + std::to_string(id) +
+                            ": market capacity exceeds the fabric's "
+                            "totals");
+        }
     }
     if (!fleet_.checkIndex(error))
         return false;

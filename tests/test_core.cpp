@@ -273,6 +273,27 @@ TEST(PerfModel, DiskCacheDropsCorruptRowsKeepsGoodOnes)
     std::filesystem::remove(path);
 }
 
+TEST(PerfModel, DiskCacheNeverReplacesAMemoizedPoint)
+{
+    const std::string path = "test_perf_cache_memo.csv";
+    std::filesystem::remove(path);
+    PerfModel pm(4000);
+    const double simulated = pm.performance("hmmer", 2, 2);
+    {
+        // A planted value for the point already read, and two rows
+        // for another point: within the file the last row wins.
+        std::ofstream out(path);
+        out << "hmmer,4000,1,2,2,123.5\n";
+        out << "gcc,4000,1,4,1,1.0\n";
+        out << "gcc,4000,1,4,1,67.25\n";
+    }
+    pm.enableDiskCache(path);
+    EXPECT_DOUBLE_EQ(pm.performance("hmmer", 2, 2), simulated);
+    EXPECT_NE(simulated, 123.5);
+    EXPECT_DOUBLE_EQ(pm.performance("gcc", 4, 1), 67.25);
+    std::filesystem::remove(path);
+}
+
 TEST(PerfModel, TraceCacheBoundedAcrossBatches)
 {
     // A long multi-benchmark batch must not hold every benchmark's

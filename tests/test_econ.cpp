@@ -5,7 +5,13 @@
  * study.  Simulation-backed tests use short traces to stay fast.
  */
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +20,7 @@
 #include "econ/market.hh"
 #include "econ/phases.hh"
 #include "econ/utility.hh"
+#include "exec/sweep.hh"
 
 using namespace sharch;
 
@@ -38,7 +45,231 @@ class EconTest : public ::testing::Test
     }
 };
 
+/** P(c, s) of one benchmark over the grid, Slice-major, bank-minor. */
+using GridPerf = std::array<double, 72>;
+
+/**
+ * The exhaustive argmax: every grid point in scan order, the first
+ * maximum wins.  The reference the frontier scan must reproduce.
+ */
+OptResult
+exhaustivePeak(const GridPerf &perf, UtilityKind u, const Market &m,
+               double budget)
+{
+    OptResult best;
+    bool first = true;
+    std::size_t i = 0;
+    for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s) {
+        for (unsigned banks : l2BankGrid()) {
+            const double p = perf[i++];
+            const double v = coresAffordable(m, budget, banks, s);
+            const double util = utilityValue(u, v, p);
+            if (first || util > best.objective) {
+                first = false;
+                best.banks = banks;
+                best.slices = s;
+                best.perf = p;
+                best.objective = util;
+                best.cores = v;
+            }
+        }
+    }
+    return best;
+}
+
+/** One benchmark's surface read back in grid order. */
+GridPerf
+gridPerf(PerfModel &pm, const std::string &bench)
+{
+    GridPerf perf{};
+    std::size_t i = 0;
+    for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s) {
+        for (unsigned banks : l2BankGrid())
+            perf[i++] = pm.performance(bench, banks, s);
+    }
+    return perf;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+bool
+sameResult(const OptResult &a, const OptResult &b)
+{
+    return a.banks == b.banks && a.slices == b.slices &&
+           sameBits(a.perf, b.perf) &&
+           sameBits(a.objective, b.objective) &&
+           sameBits(a.cores, b.cores);
+}
+
+/** Every profile's surface at 2000 instructions, filled by one batch. */
+class FrontierTest : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        std::vector<unsigned> slices;
+        for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s)
+            slices.push_back(s);
+        perf().performanceBatch(
+            exec::sweepGrid(benchmarkNames(), l2BankGrid(), slices), 2);
+    }
+
+    static PerfModel &
+    perf()
+    {
+        static PerfModel pm(2000);
+        return pm;
+    }
+
+    static UtilityOptimizer &
+    optimizer()
+    {
+        static UtilityOptimizer opt(perf(), AreaModel{});
+        return opt;
+    }
+};
+
 } // namespace
+
+TEST_F(FrontierTest, FrontierIsTheUndominatedShapesInGridOrder)
+{
+    const std::vector<unsigned> &grid = l2BankGrid();
+    const auto slicesOf = [&](std::size_t i) {
+        return static_cast<unsigned>(i / grid.size()) + 1;
+    };
+    const auto banksOf = [&](std::size_t i) {
+        return grid[i % grid.size()];
+    };
+    for (const std::string &bench : benchmarkNames()) {
+        const GridPerf surface = gridPerf(perf(), bench);
+        std::vector<FrontierPoint> want;
+        for (std::size_t i = 0; i < surface.size(); ++i) {
+            bool dominated = false;
+            for (std::size_t j = 0; j < surface.size(); ++j) {
+                dominated |= j != i && slicesOf(j) <= slicesOf(i) &&
+                             banksOf(j) <= banksOf(i) &&
+                             surface[j] >= surface[i];
+            }
+            if (!dominated)
+                want.push_back({banksOf(i), slicesOf(i), surface[i]});
+        }
+        const std::vector<FrontierPoint> &got = optimizer().frontier(bench);
+        EXPECT_LT(got.size(), surface.size()) << bench;
+        ASSERT_EQ(got.size(), want.size()) << bench;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].banks, want[k].banks) << bench;
+            EXPECT_EQ(got[k].slices, want[k].slices) << bench;
+            EXPECT_TRUE(sameBits(got[k].perf, want[k].perf)) << bench;
+        }
+    }
+}
+
+TEST_F(FrontierTest, FrontierPeakMatchesExhaustiveArgmaxBitForBit)
+{
+    // Seeded markets spanning the spot market's reach, with the 0.05
+    // price floor planted on either resource, times budgets across
+    // eight decades: the frontier scan must return exactly the
+    // exhaustive sweep's OptResult, tie-breaks included.
+    std::mt19937_64 rng(20140301);
+    std::uniform_real_distribution<double> logPrice(std::log(0.05),
+                                                    std::log(64.0));
+    std::uniform_real_distribution<double> logBudget(std::log(1e-3),
+                                                     std::log(1e5));
+    std::uniform_int_distribution<int> floorPick(0, 3);
+    std::vector<Market> markets = allMarkets();
+    while (markets.size() < 1500) {
+        Market m;
+        m.slicePrice = std::exp(logPrice(rng));
+        m.bankPrice = std::exp(logPrice(rng));
+        switch (floorPick(rng)) {
+          case 0: m.slicePrice = 0.05; break;
+          case 1: m.bankPrice = 0.05; break;
+          default: break;
+        }
+        markets.push_back(m);
+    }
+    std::vector<double> budgets = {defaultBudget()};
+    while (budgets.size() < 6)
+        budgets.push_back(std::exp(logBudget(rng)));
+
+    std::uint64_t cases = 0;
+    std::uint64_t mismatches = 0;
+    for (const std::string &bench : benchmarkNames()) {
+        const GridPerf surface = gridPerf(perf(), bench);
+        for (UtilityKind u : kAllUtilities) {
+            for (const Market &m : markets) {
+                for (double budget : budgets) {
+                    const OptResult got =
+                        optimizer().peakUtility(bench, u, m, budget);
+                    const OptResult want =
+                        exhaustivePeak(surface, u, m, budget);
+                    ++cases;
+                    if (sameResult(got, want))
+                        continue;
+                    if (++mismatches <= 5) {
+                        ADD_FAILURE()
+                            << bench << " " << utilityName(u)
+                            << " prices {" << m.slicePrice << ", "
+                            << m.bankPrice << "} budget " << budget
+                            << ": frontier (" << got.slices << ", "
+                            << got.banks << ") vs exhaustive ("
+                            << want.slices << ", " << want.banks
+                            << ")";
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 15u * 3u * 1500u * 6u);
+    EXPECT_EQ(mismatches, 0u) << "of " << cases << " cases";
+}
+
+TEST(Frontier, ExactTiesKeepTheFirstGridPoint)
+{
+    // A planted surface P = s + banks leaves every shape undominated,
+    // and under prices {1, 1} Utility1 is fl(B / P) * P, which rounds
+    // to B at most shapes: dozens of frontier shapes tie, and the
+    // scan must keep the exhaustive sweep's first maximum.
+    const std::string path = "test_perf_cache_ties.csv";
+    {
+        std::ofstream out(path);
+        for (unsigned s = 1; s <= SimConfig::kMaxSlices; ++s) {
+            for (unsigned banks : l2BankGrid())
+                out << "gcc,1000,1," << banks << ',' << s << ','
+                    << s + banks << '\n';
+        }
+    }
+    PerfModel pm(1000);
+    pm.enableDiskCache(path);
+    UtilityOptimizer opt(pm, AreaModel{});
+    EXPECT_EQ(opt.frontier("gcc").size(), 72u);
+    const GridPerf perf = gridPerf(pm, "gcc");
+    for (UtilityKind u : kAllUtilities) {
+        for (double price : {0.05, 1.0, 2.0}) {
+            const Market m{"Ties", price, price};
+            for (double budget : {1.0, 3.0, 10.0, 64.0, 1000.0,
+                                  defaultBudget()}) {
+                const OptResult got = opt.peakUtility("gcc", u, m,
+                                                      budget);
+                const OptResult want = exhaustivePeak(perf, u, m,
+                                                      budget);
+                EXPECT_TRUE(sameResult(got, want))
+                    << utilityName(u) << " price " << price
+                    << " budget " << budget << ": frontier ("
+                    << got.slices << ", " << got.banks
+                    << ") vs exhaustive (" << want.slices << ", "
+                    << want.banks << ")";
+            }
+        }
+    }
+    std::filesystem::remove(path);
+}
 
 TEST(Utility, NamesAndExponents)
 {

@@ -332,6 +332,33 @@ TEST_F(EngineTest, ReshapeGrowsAndShrinksALiveLease)
     EXPECT_FALSE(e.reshapeLease(999, 1, 1).has_value());
 }
 
+TEST_F(EngineTest, HealCreditsOnlyCapacityItsFaultCharged)
+{
+    // A 2x2 chip sells 2 Slices and 2 banks.  Each resource's second
+    // fault would empty the market, so it charges nothing -- and its
+    // heal must credit nothing either.
+    EngineConfig cfg;
+    cfg.fabricWidth = 2;
+    cfg.fabricHeight = 2;
+    AllocationEngine e(opt_, cfg);
+    Cycles at = 10;
+    for (fault::FaultKind kind :
+         {fault::FaultKind::Slice, fault::FaultKind::Bank}) {
+        const int row = kind == fault::FaultKind::Slice ? 0 : 1;
+        for (int x = 0; x < 2; ++x)
+            e.post(engine::faultStrike(at++, kind, Coord{x, row}));
+        for (int x = 0; x < 2; ++x)
+            e.post(engine::healFault(at++, kind, Coord{x, row}));
+    }
+    e.run();
+    EXPECT_EQ(e.stats().faults, 4u);
+    EXPECT_EQ(e.stats().heals, 4u);
+    EXPECT_DOUBLE_EQ(e.market().sliceCapacity(), 2.0);
+    EXPECT_DOUBLE_EQ(e.market().bankCapacity(), 2.0);
+    std::string err;
+    EXPECT_TRUE(e.checkInvariants(&err)) << err;
+}
+
 // --- The sharch-serve protocol -----------------------------------
 
 TEST_F(EngineTest, ServeSessionAnswersTheSevenOps)

@@ -164,6 +164,33 @@ TEST(Fleet, FaultsMaterializeRefileAndHeal)
     EXPECT_FALSE(fleet.isMaterialized(5));
 }
 
+TEST(Fleet, RecordsEachChipsLoadAndCheckIndexCatchesAStaleOne)
+{
+    FleetConfig cfg;
+    cfg.chips = 4;
+    Fleet fleet(fleetOpt(), cfg);
+    const std::optional<Placement> where = fleet.place(2, 3);
+    ASSERT_TRUE(where.has_value());
+    const ChipLoad &load = fleet.peek(where->chip)->load;
+    EXPECT_EQ(load.usedSlices, 2u);
+    EXPECT_EQ(load.usedBanks, 3u);
+    EXPECT_DOUBLE_EQ(load.fragmentation,
+                     fleet.peek(where->chip)->fabric.fragmentation());
+    std::string err;
+    EXPECT_TRUE(fleet.checkIndex(&err)) << err;
+
+    // A mutation behind the Fleet's back that leaves the index keys
+    // right (other rows still offer a full run; no bank is taken)
+    // but the recorded load stale.
+    Chip &other = fleet.chip(3);
+    ASSERT_TRUE(other.fabric.allocate(1, 0).has_value());
+    EXPECT_FALSE(fleet.checkIndex(&err));
+    EXPECT_NE(err.find("chip 3 records"), std::string::npos) << err;
+    fleet.refreshChip(3);
+    EXPECT_TRUE(fleet.checkIndex(&err)) << err;
+    EXPECT_EQ(fleet.peek(3)->load.usedSlices, 1u);
+}
+
 // --- WorkloadStream ------------------------------------------------
 
 TEST(WorkloadStream, TenantIsAPureFunctionOfSeedAndIndex)
@@ -352,6 +379,39 @@ TEST(FleetEngine, FaultEvictionIsReplacedAcrossChips)
     // re-placed lease carries its degraded 1-Slice shape.
     EXPECT_EQ(lease.slices, 1u);
 
+    std::string err;
+    EXPECT_TRUE(eng.checkInvariants(&err)) << err;
+}
+
+TEST(FleetEngine, HealCreditsOnlyCapacityItsFaultCharged)
+{
+    // One 2x2 chip sells 2 Slices and 2 banks.  Each resource's
+    // second fault would empty the chip's market, so it charges
+    // nothing -- and its heal must credit nothing either.
+    FleetEngineConfig cfg;
+    cfg.fleet.chips = 1;
+    cfg.fleet.chipWidth = 2;
+    cfg.fleet.chipHeight = 2;
+    FleetEngine eng(fleetOpt(), cfg);
+    std::vector<fault::FaultEvent> schedule;
+    Cycles at = 10;
+    for (fault::FaultKind kind :
+         {fault::FaultKind::Slice, fault::FaultKind::Bank}) {
+        const int row = kind == fault::FaultKind::Slice ? 0 : 1;
+        for (bool heal : {false, true}) {
+            for (int x = 0; x < 2; ++x)
+                schedule.push_back(
+                    fault::FaultEvent{at++, kind, Coord{x, row}, heal});
+        }
+    }
+    eng.postFaultSchedule(0, schedule);
+    eng.run();
+    EXPECT_EQ(eng.stats().faults, 4u);
+    EXPECT_EQ(eng.stats().heals, 4u);
+    const Chip *chip = eng.fleet().peek(0);
+    ASSERT_NE(chip, nullptr);
+    EXPECT_DOUBLE_EQ(chip->market.sliceCapacity(), 2.0);
+    EXPECT_DOUBLE_EQ(chip->market.bankCapacity(), 2.0);
     std::string err;
     EXPECT_TRUE(eng.checkInvariants(&err)) << err;
 }
