@@ -91,6 +91,11 @@ class CacheModel
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t associativity() const { return cfg_.associativity; }
     std::uint64_t sizeBytes() const { return cfg_.sizeBytes; }
+    std::uint32_t blockBytes() const { return cfg_.blockBytes; }
+
+    /** The set the line holding @p addr maps to (reads no state). */
+    std::uint32_t setOf(Addr addr) const
+    { return setIndex(lineAddr(addr)); }
 
     Count accesses() const { return accesses_; }
     Count misses() const { return misses_; }

@@ -234,8 +234,33 @@ L2System::prefill(VCoreId vc, Addr addr)
     if (banks_.empty())
         return;
     banks_[bankFor(addr)].access(addr, false);
-    if (placements_.size() > 1)
+    seedSharer(vc, addr);
+}
+
+std::vector<CacheModel *>
+L2System::bankPointers()
+{
+    std::vector<CacheModel *> ptrs;
+    for (auto &b : banks_)
+        ptrs.push_back(&b);
+    return ptrs;
+}
+
+void
+L2System::seedSharer(VCoreId vc, Addr addr)
+{
+    if (!banks_.empty() && placements_.size() > 1)
         directory_[lineOf(addr)] |= 1u << vc;
+}
+
+bool
+L2System::untouched() const
+{
+    return directory_.empty() && memoryAccesses_ == 0 &&
+           std::all_of(banks_.begin(), banks_.end(),
+                       [](const CacheModel &b) {
+                           return b.accesses() == 0;
+                       });
 }
 
 std::size_t

@@ -105,9 +105,27 @@ class L2System
 
     /**
      * Install @p addr's line functionally (no timing, no statistics)
-     * -- used to start runs from steady-state cache contents.
+     * and mark @p vc a sharer: one line of the per-line prewarm walk.
+     * VmSim::prewarm installs only the lines that walk leaves
+     * resident; this stays as the reference its tests replay.
      */
     void prefill(VCoreId vc, Addr addr);
+
+    /** Pointers to the banks, index = BankId (VmSim::prewarm fills
+     *  them directly). */
+    std::vector<CacheModel *> bankPointers();
+
+    /**
+     * Record VCore @p vc as a sharer of @p addr's line without
+     * touching a bank: the prewarm seeds the directory with the lines
+     * each VCore's L1Ds hold.  A no-op with one VCore or no banks,
+     * exactly where prefill() records no sharer either.
+     */
+    void seedSharer(VCoreId vc, Addr addr);
+
+    /** True until the first bank access, memory access or directory
+     *  entry: the state VmSim::prewarm starts from. */
+    bool untouched() const;
 
     /**
      * Digest of bank tag state plus the coherence directory (sorted

@@ -68,7 +68,8 @@ class VCoreSim
 
     /**
      * Install one line into the owning Slice's L1D and the L2
-     * functionally (no timing); used to prewarm steady-state content.
+     * functionally (no timing): one line of the per-line prewarm
+     * walk, kept as the reference VmSim::prewarm's tests replay.
      */
     void prefillLine(Addr addr);
 

@@ -1,12 +1,115 @@
 #include "core/vm_sim.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "trace/address_map.hh"
 
 namespace sharch {
+
+namespace {
+
+/**
+ * One region of the prewarm walk: `lines` 64 B lines from `base`,
+ * visited top line first so the most popular (lowest) lines come
+ * last and LRU ranks them most recent.
+ */
+struct Region
+{
+    Addr base = 0;
+    std::uint64_t lines = 0;
+};
+
+/** True when no block of 2^@p shift bytes holds lines of two regions
+ *  of @p walk. */
+bool
+blocksDisjoint(std::vector<Region> walk, unsigned shift)
+{
+    std::sort(walk.begin(), walk.end(),
+              [](const Region &a, const Region &b) {
+                  return a.base < b.base;
+              });
+    Addr next_free = 0; // first block above every region seen so far
+    for (const Region &r : walk) {
+        if (r.lines == 0)
+            continue;
+        if ((r.base >> shift) < next_free)
+            return false;
+        next_free =
+            ((r.base + r.lines * addrmap::kLine - 1) >> shift) + 1;
+    }
+    return true;
+}
+
+/**
+ * Fill @p caches with the lines @p walk leaves resident; append them
+ * to @p resident when it is given.  The caches share one geometry and
+ * are interleaved by block, block B living in cache B mod
+ * caches.size() (VCoreSim::homeSliceOf, L2System::bankFor).
+ *
+ * A fresh true-LRU set ends up holding the last `ways` distinct lines
+ * the walk maps to it, ranked by their last visit.  So each cache's
+ * share of the walk is scanned backwards, every set keeping the first
+ * `ways` blocks it meets (the scan stops once every set is full), and
+ * only the kept blocks are installed, forwards, through
+ * CacheModel::access.  A block's walked addresses are adjacent in one
+ * region (blocksDisjoint), so they count as one visit.  Caches hold
+ * no state in common, so filling them one after another leaves each
+ * exactly as the interleaved walk would.
+ */
+void
+fillResident(const std::vector<CacheModel *> &caches,
+             const std::vector<Region> &walk,
+             std::vector<Addr> *resident = nullptr)
+{
+    const Addr n = caches.size();
+    const unsigned block_shift =
+        floorLog2(caches.front()->blockBytes());
+    // The walk advances by one block or one 64 B line, whichever is
+    // larger: below 64 B only every 2^gap-th block is walked, and the
+    // walked blocks of one cache recur every `step` units.
+    const unsigned gap =
+        std::max(block_shift, floorLog2(addrmap::kLine)) - block_shift;
+    const unsigned unit_shift = block_shift + gap;
+    const Addr step = n / std::gcd(n, Addr{1} << gap);
+    const std::uint32_t ways = caches.front()->associativity();
+    std::vector<std::uint32_t> held;
+    std::vector<Addr> kept;
+    for (Addr c = 0; c < n; c += n / step) { // the others get no block
+        CacheModel &cache = *caches[c];
+        held.assign(cache.numSets(), 0);
+        std::size_t open = held.size(); // sets with a way still free
+        kept.clear();
+        for (auto r = walk.rbegin(); r != walk.rend() && open > 0; ++r) {
+            if (r->lines == 0)
+                continue;
+            const Addr last =
+                (r->base + r->lines * addrmap::kLine - 1) >> unit_shift;
+            Addr u = r->base >> unit_shift;
+            if (gap == 0)
+                u += (c + n - u % n) % n;
+            while ((u << gap) % n != c) // blocks under 64 B only
+                ++u;
+            for (; u <= last && open > 0; u += step) {
+                const Addr addr = std::max(r->base, u << unit_shift);
+                std::uint32_t &k = held[cache.setOf(addr)];
+                if (k == ways)
+                    continue;
+                kept.push_back(addr);
+                if (++k == ways)
+                    --open;
+            }
+        }
+        for (auto a = kept.rbegin(); a != kept.rend(); ++a)
+            cache.access(*a, false);
+        if (resident)
+            resident->insert(resident->end(), kept.begin(), kept.end());
+    }
+}
+
+} // namespace
 
 double
 VmResult::throughput()
@@ -50,32 +153,87 @@ void
 VmSim::prewarm(const BenchmarkProfile &profile)
 {
     using namespace addrmap;
+    bool fresh = l2_->untouched();
+    for (const auto &vc : vcores_) {
+        for (const CacheModel *l1 : vc->l1dPointers())
+            fresh = fresh && l1->accesses() == 0;
+    }
+    SHARCH_ASSERT(fresh, "prewarm needs a fresh VmSim");
+
     const std::uint64_t l2_lines =
         std::uint64_t(cfg_.numL2Banks) * vcores_.size() *
         cfg_.l2Bank.sizeBytes / kLine;
     const std::uint64_t l1_lines =
         std::uint64_t(cfg_.numSlices) * cfg_.l1d.sizeBytes / kLine;
-
-    auto warm_region = [&](VCoreSim &vc, Addr base,
-                           std::uint64_t region_lines) {
-        // Worst rank first so LRU retains the most popular lines.
-        const std::uint64_t n = std::min<std::uint64_t>(
-            region_lines, 2 * l2_lines + 4 * l1_lines);
-        for (std::uint64_t r = n; r-- > 0;)
-            vc.prefillLine(base + r * kLine);
+    const std::uint64_t cap = 2 * l2_lines + 4 * l1_lines;
+    auto region = [cap](Addr base, std::uint64_t region_lines) {
+        return Region{base, std::min(region_lines, cap)};
     };
+    const bool shared =
+        profile.multithreaded && profile.sharedFrac > 0.0;
+    const Region shared_region =
+        region(kSharedBase, profile.sharedBytes / kLine);
 
+    // Each VCore's L1Ds see its own walk: heap, shared, hot.  The L2
+    // sees every VCore's walk in turn; all of them cover the same
+    // shared region, so its lines take their recency from the last
+    // VCore's visit and the L2's walk is heap_0, hot_0, ...,
+    // heap_{V-1}, shared, hot_{V-1}.
+    std::vector<std::vector<Region>> l1_walks(vcores_.size());
+    std::vector<Region> l2_walk;
     for (std::size_t v = 0; v < vcores_.size(); ++v) {
         const auto tid = static_cast<unsigned>(v);
-        warm_region(*vcores_[v], threadBase(kHeapBase, tid),
-                    profile.workingSetBytes / kLine);
-        if (profile.multithreaded && profile.sharedFrac > 0.0) {
-            warm_region(*vcores_[v], kSharedBase,
-                        profile.sharedBytes / kLine);
+        const Region heap = region(threadBase(kHeapBase, tid),
+                                   profile.workingSetBytes / kLine);
+        const Region hot =
+            region(threadBase(kHotBase, tid),
+                   std::max<std::uint64_t>(1, profile.hotBytes / kLine));
+        l1_walks[v].push_back(heap);
+        l2_walk.push_back(heap);
+        if (shared) {
+            l1_walks[v].push_back(shared_region);
+            if (v + 1 == vcores_.size())
+                l2_walk.push_back(shared_region);
         }
-        warm_region(*vcores_[v], threadBase(kHotBase, tid),
-                    std::max<std::uint64_t>(1,
-                        profile.hotBytes / kLine));
+        l1_walks[v].push_back(hot);
+        l2_walk.push_back(hot);
+    }
+    SHARCH_ASSERT(blocksDisjoint(l2_walk,
+                                 floorLog2(std::max(cfg_.l1d.blockBytes,
+                                                    cfg_.l2Bank.blockBytes))),
+                  "prewarm regions share a cache block");
+
+    std::vector<std::vector<Addr>> l1_held(vcores_.size());
+    for (std::size_t v = 0; v < vcores_.size(); ++v)
+        fillResident(vcores_[v]->l1dPointers(), l1_walks[v],
+                     &l1_held[v]);
+    // A VM with no banks gets neither bank lines nor directory
+    // entries (L2System::prefill never recorded a sharer there).
+    if (l2_->numBanks() == 0)
+        return;
+    fillResident(l2_->bankPointers(), l2_walk);
+
+    // Directory: a sharer bit for each line a VCore's L1Ds hold.  A bit
+    // for a walked line the L1Ds no longer hold could only make a
+    // later write invalidate an absent line.  That stops holding when
+    // an L1D block spans several L2 lines: a fill through one of them
+    // brings the others back without touching their entries, so there
+    // every walked line keeps its bit.
+    if (vcores_.size() == 1)
+        return;
+    const bool block_spans_lines =
+        cfg_.l1d.blockBytes > cfg_.l2Bank.blockBytes;
+    for (std::size_t v = 0; v < vcores_.size(); ++v) {
+        const auto vc = static_cast<VCoreId>(v);
+        if (!block_spans_lines) {
+            for (const Addr a : l1_held[v])
+                l2_->seedSharer(vc, a);
+            continue;
+        }
+        for (const Region &r : l1_walks[v]) {
+            for (std::uint64_t i = 0; i < r.lines; ++i)
+                l2_->seedSharer(vc, r.base + i * kLine);
+        }
     }
 }
 

@@ -54,6 +54,11 @@ class VmSim
      * each region's most-popular lines, best-ranked last, so LRU
      * retains them exactly as an infinitely long history would.
      * Eliminates the compulsory-miss transient of short traces.
+     *
+     * Valid only on a fresh VmSim, before any run or earlier prewarm
+     * (asserted): it installs just the lines the walk would leave
+     * resident, which reproduces the walk only in empty caches
+     * (DESIGN.md §5).
      */
     void prewarm(const BenchmarkProfile &profile);
 

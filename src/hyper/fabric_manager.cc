@@ -337,6 +337,13 @@ FabricManager::reshape(AllocationId id, unsigned slices,
     }
     FabricAllocation &alloc = it->second;
     const VCoreShape before = alloc.shape();
+    // A failed reshape changes nothing, so the bank shortfall is
+    // checked before the Slice run moves; a short Slice growth is
+    // found before any tile changes hands.
+    if (banks > alloc.banks.size() &&
+        banks - alloc.banks.size() > freeBanks()) {
+        return std::nullopt;
+    }
 
     // --- Slices: shrink from the right, or grow rightwards (then
     //     leftwards) into free neighbours. ---
@@ -382,14 +389,9 @@ FabricManager::reshape(AllocationId id, unsigned slices,
             bankOwner_[bankRowIndex(b.y)][b.x] = kFree;
         }
     } else if (banks > alloc.banks.size()) {
-        const unsigned need =
-            banks - static_cast<unsigned>(alloc.banks.size());
-        if (need > freeBanks()) {
-            // Roll back is unnecessary: Slice changes remain valid;
-            // report failure so the caller can retry.
-            return std::nullopt;
-        }
-        const auto extra = takeBanks(need, alloc.slices, id);
+        const auto extra = takeBanks(
+            banks - static_cast<unsigned>(alloc.banks.size()),
+            alloc.slices, id);
         alloc.banks.insert(alloc.banks.end(), extra.begin(),
                            extra.end());
     }

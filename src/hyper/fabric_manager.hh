@@ -155,7 +155,8 @@ class FabricManager
      * Reshape in place: grow/shrink the Slice run at its current
      * position (growing requires free neighbours) and adjust banks.
      * @return the reconfiguration cost on success, nullopt on failure
-     *         (the caller may then defragment or reallocate).
+     *         (the caller may then defragment or reallocate).  A
+     *         failed reshape leaves the allocation as it was.
      */
     std::optional<Cycles> reshape(AllocationId id, unsigned slices,
                                   unsigned banks);

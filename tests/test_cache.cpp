@@ -4,6 +4,9 @@
  * the banked, distance-aware, directory-coherent L2 system.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache_model.hh"
@@ -113,6 +116,68 @@ TEST(CacheModel, HashedIndexSpreadsInterleavedStreams)
     for (Addr i = 0; i < 56; ++i)
         resident += c.probe(i * 8 * 64);
     EXPECT_GT(resident, 20u);
+}
+
+TEST(CacheModel, ResidentLinesInWalkOrderReproduceTheWalk)
+{
+    // The lemma VmSim::prewarm rests on.  A fresh cache filled by a
+    // walk of distinct lines, and one filled with only the lines that
+    // walk leaves resident (the last `ways` per set) in walk order,
+    // then answer every access and invalidate alike: which way holds
+    // a line and the absolute LRU stamps are never read.
+    struct Geometry
+    {
+        std::uint32_t sizeBytes, associativity;
+    };
+    // The last geometry has 6 sets, not a power of two.
+    for (const Geometry g : {Geometry{1024, 1}, Geometry{1024, 2},
+                             Geometry{2048, 4}, Geometry{4096, 8},
+                             Geometry{6 * 4 * 64, 4}}) {
+        const CacheConfig cfg{g.sizeBytes, 64, g.associativity, 3};
+        CacheModel full(cfg), resident(cfg);
+        const Addr capacity = g.sizeBytes / 64;
+        Rng rng(g.sizeBytes * 31 + g.associativity);
+
+        // Four capacities' worth of distinct lines, shuffled, some
+        // written so dirty bits must carry over too.
+        std::vector<Addr> walk(4 * capacity);
+        for (Addr i = 0; i < walk.size(); ++i)
+            walk[i] = i * 64;
+        for (std::size_t i = walk.size(); i-- > 1;)
+            std::swap(walk[i], walk[rng.nextBounded(i + 1)]);
+        auto written = [](Addr a) { return (a / 64) % 3 == 0; };
+        for (const Addr a : walk)
+            full.access(a, written(a));
+
+        std::vector<std::uint32_t> held(full.numSets(), 0);
+        std::vector<Addr> kept;
+        for (std::size_t i = walk.size(); i-- > 0;) {
+            if (held[full.setOf(walk[i])]++ < g.associativity)
+                kept.push_back(walk[i]);
+        }
+        ASSERT_LE(kept.size(), capacity);
+        for (std::size_t i = kept.size(); i-- > 0;)
+            resident.access(kept[i], written(kept[i]));
+
+        for (int op = 0; op < 20000; ++op) {
+            const Addr a = rng.nextBounded(6 * capacity) * 64;
+            const std::uint64_t kind = rng.nextBounded(8);
+            if (kind == 0) {
+                ASSERT_EQ(full.invalidate(a), resident.invalidate(a))
+                    << "op " << op << " assoc " << g.associativity;
+                continue;
+            }
+            const bool write = kind <= 3;
+            const AccessResult x = full.access(a, write);
+            const AccessResult y = resident.access(a, write);
+            ASSERT_EQ(x.hit, y.hit)
+                << "op " << op << " assoc " << g.associativity;
+            ASSERT_EQ(x.writebackVictim, y.writebackVictim)
+                << "op " << op << " assoc " << g.associativity;
+            ASSERT_EQ(x.victimLine, y.victimLine)
+                << "op " << op << " assoc " << g.associativity;
+        }
+    }
 }
 
 TEST(CacheModel, RejectsDegenerateGeometry)

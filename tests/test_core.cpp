@@ -5,10 +5,13 @@
  * memoized/disk-cached performance model.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -16,7 +19,9 @@
 #include "core/perf_model.hh"
 #include "core/reconfig.hh"
 #include "core/vm_sim.hh"
+#include "trace/address_map.hh"
 #include "trace/generator.hh"
+#include "trace/inst_source.hh"
 #include "trace/profile.hh"
 
 using namespace sharch;
@@ -170,6 +175,145 @@ TEST(VmSim, SingleThreadHasNoCoherenceTraffic)
 {
     const VmResult r = runOnce("gcc", 4, 2);
     EXPECT_EQ(r.aggregate.coherenceInvalidations, 0u);
+}
+
+namespace {
+
+/**
+ * The prewarm walk line by line: per VCore its heap, the shared
+ * region and its hot region, each capped at 2 x L2 + 4 x L1 lines
+ * and walked top line first.  Calls @p visit(vcore, addr) per line.
+ */
+template <class Visit>
+void
+walkPrewarmLines(const SimConfig &cfg, unsigned vcores,
+                 const BenchmarkProfile &p, Visit visit)
+{
+    using namespace addrmap;
+    const std::uint64_t l2_lines = std::uint64_t(cfg.numL2Banks) *
+                                   vcores * cfg.l2Bank.sizeBytes / kLine;
+    const std::uint64_t l1_lines =
+        std::uint64_t(cfg.numSlices) * cfg.l1d.sizeBytes / kLine;
+    auto region = [&](unsigned v, Addr base, std::uint64_t lines) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(lines, 2 * l2_lines + 4 * l1_lines);
+        for (std::uint64_t r = n; r-- > 0;)
+            visit(v, base + r * kLine);
+    };
+    for (unsigned v = 0; v < vcores; ++v) {
+        region(v, threadBase(kHeapBase, v), p.workingSetBytes / kLine);
+        if (p.multithreaded && p.sharedFrac > 0.0)
+            region(v, kSharedBase, p.sharedBytes / kLine);
+        region(v, threadBase(kHotBase, v),
+               std::max<std::uint64_t>(1, p.hotBytes / kLine));
+    }
+}
+
+/**
+ * VmSim::prewarm against the line-by-line walk replayed through
+ * prefillLine(): every walked line probes the same in every L1D and
+ * in the L2, and a streamed run from each ends bit-identically.
+ */
+void
+expectPrewarmMatchesLineWalk(const BenchmarkProfile &p,
+                             const SimConfig &cfg)
+{
+    const unsigned vcores = p.multithreaded ? p.numThreads : 1;
+    std::ostringstream label;
+    label << p.name << " banks " << cfg.numL2Banks << " slices "
+          << cfg.numSlices << " blocks " << cfg.l1d.blockBytes << "/"
+          << cfg.l2Bank.blockBytes;
+
+    VmSim fast(cfg, vcores);
+    fast.prewarm(p);
+    VmSim ref(cfg, vcores);
+    walkPrewarmLines(cfg, vcores, p, [&](unsigned v, Addr a) {
+        ref.vcore(v).prefillLine(a);
+    });
+
+    std::vector<std::vector<CacheModel *>> fast_l1, ref_l1;
+    for (unsigned v = 0; v < vcores; ++v) {
+        fast_l1.push_back(fast.vcore(v).l1dPointers());
+        ref_l1.push_back(ref.vcore(v).l1dPointers());
+    }
+    std::size_t l1_diffs = 0, l2_diffs = 0, l2_held = 0;
+    walkPrewarmLines(cfg, vcores, p, [&](unsigned, Addr a) {
+        for (unsigned v = 0; v < vcores; ++v) {
+            for (std::size_t s = 0; s < fast_l1[v].size(); ++s)
+                l1_diffs += fast_l1[v][s]->probe(a) !=
+                            ref_l1[v][s]->probe(a);
+        }
+        l2_diffs += fast.l2().probeHit(a) != ref.l2().probeHit(a);
+        l2_held += ref.l2().probeHit(a);
+    });
+    EXPECT_EQ(l1_diffs, 0u) << label.str();
+    EXPECT_EQ(l2_diffs, 0u) << label.str();
+    EXPECT_EQ(l2_held > 0, cfg.numL2Banks > 0) << label.str();
+
+    const auto gen = std::make_shared<const TraceGenerator>(p, 1);
+    const VmResult a = fast.run(streamSources(gen, 3000));
+    const VmResult b = ref.run(streamSources(gen, 3000));
+    EXPECT_EQ(a.cycles, b.cycles) << label.str();
+    ASSERT_EQ(a.perVCore.size(), b.perVCore.size());
+    for (std::size_t v = 0; v < a.perVCore.size(); ++v) {
+        EXPECT_EQ(a.perVCore[v].toJson(), b.perVCore[v].toJson())
+            << label.str() << " VCore " << v;
+    }
+}
+
+} // namespace
+
+TEST(VmSimPrewarm, ResidentInstallMatchesTheLineWalk)
+{
+    for (const BenchmarkProfile &p : builtinProfiles()) {
+        for (unsigned banks : {0u, 1u, 2u, 8u, 128u}) {
+            for (unsigned slices : {1u, 3u, 8u}) {
+                SimConfig cfg;
+                cfg.numL2Banks = banks;
+                cfg.numSlices = slices;
+                expectPrewarmMatchesLineWalk(p, cfg);
+            }
+        }
+    }
+}
+
+TEST(VmSimPrewarm, ResidentInstallMatchesTheLineWalkAcrossBlockSizes)
+{
+    // 128 B blocks merge two walked lines into one visit; 32 B blocks
+    // leave every other block unwalked.  An L1D block wider than an
+    // L2 line is the case where every walked line keeps its directory
+    // bit.
+    struct Blocks
+    {
+        std::uint32_t l1d, l2;
+    };
+    for (const Blocks blocks : {Blocks{128, 128}, Blocks{128, 64},
+                                Blocks{32, 64}, Blocks{64, 32}}) {
+        for (const BenchmarkProfile &p : builtinProfiles()) {
+            for (unsigned banks : {0u, 2u, 8u}) {
+                SimConfig cfg;
+                cfg.l1d.blockBytes = blocks.l1d;
+                cfg.l2Bank.blockBytes = blocks.l2;
+                cfg.numL2Banks = banks;
+                cfg.numSlices = 3;
+                expectPrewarmMatchesLineWalk(p, cfg);
+            }
+        }
+    }
+}
+
+TEST(VmSimPrewarm, RefusesAUsedVmSim)
+{
+    const BenchmarkProfile &p = profileFor("dedup");
+    SimConfig cfg;
+    VmSim twice(cfg, p.numThreads);
+    twice.prewarm(p);
+    EXPECT_DEATH(twice.prewarm(p), "fresh VmSim");
+
+    VmSim ran(cfg, 1);
+    TraceGenerator gen(profileFor("gcc"), 1);
+    ran.run(gen.generateThreads(500));
+    EXPECT_DEATH(ran.prewarm(profileFor("gcc")), "fresh VmSim");
 }
 
 TEST(ReconfigManager, CostsFollowSection510)

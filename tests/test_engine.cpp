@@ -332,6 +332,26 @@ TEST_F(EngineTest, ReshapeGrowsAndShrinksALiveLease)
     EXPECT_FALSE(e.reshapeLease(999, 1, 1).has_value());
 }
 
+TEST_F(EngineTest, FailedReshapeKeepsLeaseAndFabricInStep)
+{
+    // a's Slices could grow into x's old tiles, but no bank is free:
+    // the reshape fails and must leave the lease and fabric agreeing.
+    AllocationEngine e = makeEngine();
+    const engine::EventOutcome a = e.execute(arrive(0, "a", 2, 2));
+    ASSERT_TRUE(a.applied);
+    ASSERT_TRUE(e.execute(arrive(0, "x", 6, 0)).applied);
+    for (int i = 0; i < 15; ++i) {
+        ASSERT_TRUE(
+            e.execute(arrive(0, "f" + std::to_string(i), 1, 2)).applied);
+    }
+    ASSERT_TRUE(e.execute(engine::tenantDepart(1, "x")).applied);
+
+    EXPECT_FALSE(e.reshapeLease(a.lease, 4, 4).has_value());
+    EXPECT_EQ(e.leases().at(a.lease).slices, 2u);
+    std::string err;
+    EXPECT_TRUE(e.checkInvariants(&err)) << err;
+}
+
 TEST_F(EngineTest, HealCreditsOnlyCapacityItsFaultCharged)
 {
     // A 2x2 chip sells 2 Slices and 2 banks.  Each resource's second

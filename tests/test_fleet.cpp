@@ -416,6 +416,34 @@ TEST(FleetEngine, HealCreditsOnlyCapacityItsFaultCharged)
     EXPECT_TRUE(eng.checkInvariants(&err)) << err;
 }
 
+TEST(FleetEngine, FailedReshapeKeepsLeaseAndFabricInStep)
+{
+    // One 8x8 chip: a's Slices could grow into x's old tiles, but no
+    // bank is free, so the reshape fails and must change nothing.
+    FleetEngineConfig cfg;
+    cfg.fleet.chips = 1;
+    FleetEngine eng(fleetOpt(), cfg);
+    auto arrive = [&](const std::string &tenant, unsigned slices,
+                      unsigned banks) {
+        return eng.execute(engine::fleetArrive(
+            0, tenant, "", UtilityKind::Throughput, 0.0, slices, banks,
+            0));
+    };
+    const engine::EventOutcome a = arrive("a", 2, 2);
+    ASSERT_TRUE(a.applied);
+    ASSERT_TRUE(arrive("x", 6, 0).applied);
+    for (int i = 0; i < 15; ++i)
+        ASSERT_TRUE(arrive("f" + std::to_string(i), 1, 2).applied);
+    ASSERT_TRUE(eng.execute(engine::fleetDepart(1, "x")).applied);
+
+    const engine::EventOutcome r =
+        eng.execute(engine::reshapeEvent(2, a.lease, 4, 4));
+    EXPECT_FALSE(r.applied);
+    EXPECT_EQ(eng.leases().at(a.lease).slices, 2u);
+    std::string err;
+    EXPECT_TRUE(eng.checkInvariants(&err)) << err;
+}
+
 TEST(FleetEngine, BoundedQueueRefusesAndKeepsServing)
 {
     FleetEngineConfig cfg = smallFleet();

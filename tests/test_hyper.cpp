@@ -185,6 +185,32 @@ TEST(FabricManager, ReshapeFailsWhenBlocked)
     EXPECT_EQ(fm.find(*a)->slices.count, 4u);
 }
 
+TEST(FabricManager, FailedReshapeChangesNothing)
+{
+    // The Slice growth fits (x leaves its tiles free) but every bank
+    // is taken: the reshape must fail before the Slice run moves.
+    FabricManager fm(8, 8);
+    const auto a = fm.allocate(2, 2);
+    const auto x = fm.allocate(6, 0);
+    ASSERT_TRUE(a && x);
+    while (fm.freeBanks() > 0)
+        ASSERT_TRUE(fm.allocate(1, std::min(2u, fm.freeBanks())));
+    fm.release(*x);
+    FabricManager slices_only = fm;
+    ASSERT_TRUE(slices_only.reshape(*a, 4, 2).has_value());
+
+    const FabricAllocation before = *fm.find(*a);
+    const unsigned free_slices = fm.freeSlices();
+    EXPECT_FALSE(fm.reshape(*a, 4, 4).has_value());
+    const FabricAllocation &after = *fm.find(*a);
+    EXPECT_EQ(after.slices.row, before.slices.row);
+    EXPECT_EQ(after.slices.col, before.slices.col);
+    EXPECT_EQ(after.slices.count, 2u);
+    EXPECT_EQ(after.banks.size(), before.banks.size());
+    EXPECT_EQ(fm.freeSlices(), free_slices);
+    EXPECT_EQ(fm.freeBanks(), 0u);
+}
+
 namespace {
 
 PerfModel &
