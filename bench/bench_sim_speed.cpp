@@ -179,11 +179,10 @@ class SimSpeedStudy final : public study::Study
             }
         }
 
-        // The materialized replay path (--trace-mode materialize):
-        // a pre-generated Trace vector is re-simulated each
-        // iteration, the pre-streaming behavior.  The gap between
-        // this and end_to_end is the cost of bundle copies and
-        // vector traffic that fusion removes.
+        // Replay of a pre-generated trace: VmSim::run() over a Trace
+        // vector, re-simulated each iteration.  The gap between this
+        // and end_to_end is the vector traffic that streaming the
+        // trace into the sim loop avoids.
         {
             TraceGenerator gen(p, 1);
             const Trace trace = gen.generate(20000);

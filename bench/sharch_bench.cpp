@@ -159,12 +159,10 @@ main(int argc, char **argv)
                               : study::envInstructions();
     engine.seed = opts.seedSet ? opts.seed : study::envSeed();
     engine.threads = exec::resolveThreadCount(opts.threads);
-    engine.traceMode = opts.traceMode;
     engine.sample = opts.sample;
     engine.sampleSet = opts.sampleSet;
 
     PerfModel pm(engine.instructions, engine.seed);
-    pm.setTraceMode(engine.traceMode);
     if (opts.sampleSet)
         pm.setSampleMode(SampleMode::Sampled, opts.sample);
     // No-op (with a note) for sampled models: estimates must not mix

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <iterator>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -37,110 +36,20 @@ PerfModel::PerfModel(std::size_t instructions_per_thread,
     SHARCH_ASSERT(instructions_per_thread > 0, "empty workload");
 }
 
-void
-PerfModel::evictTracesLocked()
-{
-    // Streaming mode materializes no bundles, so there is nothing to
-    // evict -- the trace cache is a policy of the materialized path.
-    if (traceMode_ == TraceMode::Stream)
-        return;
-    while (traces_.size() > traceCapacity_) {
-        auto victim = traces_.begin();
-        for (auto it = std::next(victim); it != traces_.end(); ++it) {
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        traces_.erase(victim);
-    }
-}
-
-void
-PerfModel::evictGeneratorsLocked()
-{
-    while (generators_.size() > traceCapacity_) {
-        auto victim = generators_.begin();
-        for (auto it = std::next(victim); it != generators_.end();
-             ++it) {
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        generators_.erase(victim);
-    }
-}
-
-TraceBundlePtr
-PerfModel::tracesFor(const BenchmarkProfile &p)
-{
-    {
-        std::lock_guard<std::mutex> lock(traceMutex_);
-        auto it = traces_.find(p.name);
-        if (it != traces_.end()) {
-            it->second.lastUse = ++traceUseTick_;
-            return it->second.traces;
-        }
-    }
-    // Generate outside the lock: traces are deterministic in
-    // (profile, seed, thread), so a racing duplicate is identical and
-    // the loser's copy is simply discarded.  The bundle is immutable
-    // and reference-counted: callers mid-simulation keep theirs alive
-    // even if the LRU bound evicts it from the cache meanwhile.
-    TraceGenerator gen(p, seed_);
-    auto bundle = std::make_shared<const TraceBundle>(
-        gen.generateThreads(instructions_));
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    auto [it, inserted] = traces_.try_emplace(p.name);
-    if (inserted)
-        it->second.traces = std::move(bundle);
-    it->second.lastUse = ++traceUseTick_;
-    TraceBundlePtr result = it->second.traces;
-    evictTracesLocked();
-    return result;
-}
-
 std::shared_ptr<const TraceGenerator>
 PerfModel::generatorFor(const BenchmarkProfile &p)
 {
     {
-        std::lock_guard<std::mutex> lock(traceMutex_);
+        std::lock_guard<std::mutex> lock(genMutex_);
         auto it = generators_.find(p.name);
-        if (it != generators_.end()) {
-            it->second.lastUse = ++traceUseTick_;
-            return it->second.generator;
-        }
+        if (it != generators_.end())
+            return it->second;
     }
     // Build outside the lock; a racing duplicate is identical (the
     // skeleton is deterministic in (profile, seed)) and discarded.
     auto gen = std::make_shared<const TraceGenerator>(p, seed_);
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    auto [it, inserted] = generators_.try_emplace(p.name);
-    if (inserted)
-        it->second.generator = std::move(gen);
-    it->second.lastUse = ++traceUseTick_;
-    std::shared_ptr<const TraceGenerator> result = it->second.generator;
-    evictGeneratorsLocked();
-    return result;
-}
-
-void
-PerfModel::setTraceCacheCapacity(std::size_t benchmarks)
-{
-    SHARCH_ASSERT(benchmarks > 0, "trace cache needs >= 1 slot");
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    traceCapacity_ = benchmarks;
-    evictGeneratorsLocked();
-    if (traceMode_ == TraceMode::Stream) {
-        SHARCH_DEBUG("trace-bundle cache bound is a no-op in streaming "
-                     "mode: no bundles are materialized");
-        return;
-    }
-    evictTracesLocked();
-}
-
-std::size_t
-PerfModel::traceCacheSize() const
-{
-    std::lock_guard<std::mutex> lock(traceMutex_);
-    return traces_.size();
+    std::lock_guard<std::mutex> lock(genMutex_);
+    return generators_.try_emplace(p.name, std::move(gen)).first->second;
 }
 
 VmResult
@@ -158,13 +67,8 @@ PerfModel::detailedRun(const BenchmarkProfile &profile, unsigned banks,
         profile.multithreaded ? profile.numThreads : 1;
     VmSim vm(cfg, vcores);
     vm.prewarm(profile);
-    // Pin the bundle for the whole run; the cache may evict it.
-    // Streamed and materialized sources emit identical bytes, so both
-    // feed either the full detailed walk or the sampling controller.
     const auto sources =
-        traceMode_ == TraceMode::Stream
-            ? streamSources(generatorFor(profile), instructions_)
-            : materializedSources(tracesFor(profile));
+        streamSources(generatorFor(profile), instructions_);
     if (sampleMode_ == SampleMode::Sampled) {
         SamplingController controller(sampleSchedule_, cfg.seed);
         return controller.run(vm, sources);
@@ -230,10 +134,8 @@ PerfModel::performanceBatch(
     if (!missing.empty()) {
         const exec::SweepRunner runner(threads);
 
-        // Warm the per-workload shared state first, so sweep workers
-        // never race to build the same thing: trace bundles when
-        // materializing, just the (much cheaper) generator skeletons
-        // when streaming.
+        // Build each workload's generator skeleton first, so sweep
+        // workers never race to build the same one.
         {
             std::map<std::string, const BenchmarkProfile *> profiles;
             for (std::size_t i : missing)
@@ -242,12 +144,7 @@ PerfModel::performanceBatch(
             exec::ThreadPool pool(runner.threads());
             for (const auto &[name, profile] : profiles) {
                 (void)name;
-                pool.submit([this, profile] {
-                    if (traceMode_ == TraceMode::Stream)
-                        generatorFor(*profile);
-                    else
-                        tracesFor(*profile);
-                });
+                pool.submit([this, profile] { generatorFor(*profile); });
             }
             pool.wait();
         }

@@ -296,29 +296,6 @@ AllocationEngine::saveState() const
     return root.dump();
 }
 
-namespace {
-
-bool
-fail(std::string *error, const std::string &what)
-{
-    if (error)
-        *error = what;
-    return false;
-}
-
-bool
-stateU64(const json::Value &v, const char *key, std::uint64_t *out,
-         std::string *error)
-{
-    const json::Value *f = v.get(key);
-    if (!f || !f->asU64(out))
-        return fail(error, std::string(key) +
-                               " missing or not an unsigned integer");
-    return true;
-}
-
-} // namespace
-
 bool
 AllocationEngine::restoreState(const std::string &text,
                                std::string *error)
@@ -349,8 +326,8 @@ AllocationEngine::restoreState(const std::string &text,
     }
 
     std::uint64_t clock = 0, nextSeq = 0;
-    if (!stateU64(root, "clock", &clock, error) ||
-        !stateU64(root, "next_seq", &nextSeq, error)) {
+    if (!fieldU64(root, "clock", &clock, error) ||
+        !fieldU64(root, "next_seq", &nextSeq, error)) {
         return false;
     }
 
@@ -394,10 +371,10 @@ AllocationEngine::restoreState(const std::string &text,
         Lease lease;
         std::uint64_t slices = 0, banks = 0;
         std::string sub;
-        if (!stateU64(l, "id", &lease.id, &sub) ||
-            !stateU64(l, "slices", &slices, &sub) ||
-            !stateU64(l, "banks", &banks, &sub) ||
-            !stateU64(l, "arrived_at", &lease.arrivedAt, &sub)) {
+        if (!fieldU64(l, "id", &lease.id, &sub) ||
+            !fieldU64(l, "slices", &slices, &sub) ||
+            !fieldU64(l, "banks", &banks, &sub) ||
+            !fieldU64(l, "arrived_at", &lease.arrivedAt, &sub)) {
             return fail(error, where + sub);
         }
         const json::Value *tenant = l.get("tenant");

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "engine/state_json.hh"
+
 namespace sharch::engine {
 
 bool
@@ -184,62 +186,37 @@ EngineBase::statsToJson() const
     return stats;
 }
 
-namespace {
-
-bool
-baseFail(std::string *error, const std::string &what)
-{
-    if (error)
-        *error = what;
-    return false;
-}
-
-bool
-baseU64(const json::Value &v, const char *key, std::uint64_t *out,
-        std::string *error)
-{
-    const json::Value *f = v.get(key);
-    if (!f || !f->asU64(out))
-        return baseFail(error,
-                        std::string(key) +
-                            " missing or not an unsigned integer");
-    return true;
-}
-
-} // namespace
-
 bool
 EngineBase::statsFromJson(const json::Value &root, EngineStats *out,
                           std::string *error)
 {
     const json::Value *stats = root.get("stats");
     if (!stats || !stats->isObject())
-        return baseFail(error, "stats missing or not an object");
+        return fail(error, "stats missing or not an object");
     EngineStats st;
     std::uint64_t reconfig = 0;
     const json::Value *refunds = stats->get("refunds_paid");
-    if (!baseU64(*stats, "processed", &st.processed, error) ||
-        !baseU64(*stats, "arrivals", &st.arrivals, error) ||
-        !baseU64(*stats, "admitted", &st.admitted, error) ||
-        !baseU64(*stats, "rejected", &st.rejected, error) ||
-        !baseU64(*stats, "departures", &st.departures, error) ||
-        !baseU64(*stats, "unmatched_departs", &st.unmatchedDeparts,
-                 error) ||
-        !baseU64(*stats, "faults", &st.faults, error) ||
-        !baseU64(*stats, "heals", &st.heals, error) ||
-        !baseU64(*stats, "evictions", &st.evictions, error) ||
-        !baseU64(*stats, "epochs", &st.epochs, error) ||
-        !baseU64(*stats, "auction_rounds", &st.auctionRounds,
-                 error) ||
-        !baseU64(*stats, "checkpoints", &st.checkpoints, error) ||
-        !baseU64(*stats, "reconfig_cycles", &reconfig, error)) {
+    if (!fieldU64(*stats, "processed", &st.processed, error) ||
+        !fieldU64(*stats, "arrivals", &st.arrivals, error) ||
+        !fieldU64(*stats, "admitted", &st.admitted, error) ||
+        !fieldU64(*stats, "rejected", &st.rejected, error) ||
+        !fieldU64(*stats, "departures", &st.departures, error) ||
+        !fieldU64(*stats, "unmatched_departs", &st.unmatchedDeparts,
+                  error) ||
+        !fieldU64(*stats, "faults", &st.faults, error) ||
+        !fieldU64(*stats, "heals", &st.heals, error) ||
+        !fieldU64(*stats, "evictions", &st.evictions, error) ||
+        !fieldU64(*stats, "epochs", &st.epochs, error) ||
+        !fieldU64(*stats, "auction_rounds", &st.auctionRounds,
+                  error) ||
+        !fieldU64(*stats, "checkpoints", &st.checkpoints, error) ||
+        !fieldU64(*stats, "reconfig_cycles", &reconfig, error)) {
         if (error)
             *error = "stats." + *error;
         return false;
     }
     if (!refunds || !refunds->isNumber())
-        return baseFail(error,
-                        "stats.refunds_paid missing or not a number");
+        return fail(error, "stats.refunds_paid missing or not a number");
     st.refundsPaid = refunds->asDouble();
     st.reconfigCycles = reconfig;
     *out = st;
@@ -267,22 +244,21 @@ EngineBase::queueFromJson(const json::Value *queue,
                           std::string *error) const
 {
     if (!queue || !queue->isArray())
-        return baseFail(error, "queue missing or not an array");
+        return fail(error, "queue missing or not an array");
     out->clear();
     for (std::size_t i = 0; i < queue->items.size(); ++i) {
         Queued q;
         std::string qerr;
         if (!eventFromJson(queue->items[i], &q.event, &q.seq,
                            &qerr)) {
-            return baseFail(error, "queue[" + std::to_string(i) +
-                                       "]: " + qerr);
+            return fail(error,
+                        "queue[" + std::to_string(i) + "]: " + qerr);
         }
         if (q.seq >= nextSeq)
-            return baseFail(error,
-                            "queue[" + std::to_string(i) +
-                                "]: seq " + std::to_string(q.seq) +
-                                " >= next_seq " +
-                                std::to_string(nextSeq));
+            return fail(error, "queue[" + std::to_string(i) +
+                                   "]: seq " + std::to_string(q.seq) +
+                                   " >= next_seq " +
+                                   std::to_string(nextSeq));
         out->push_back(std::move(q));
     }
     return true;

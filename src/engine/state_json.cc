@@ -5,8 +5,6 @@
 
 namespace sharch::engine {
 
-namespace {
-
 bool
 fail(std::string *error, const std::string &what)
 {
@@ -27,17 +25,6 @@ fieldU64(const json::Value &v, const char *key, std::uint64_t *out,
 }
 
 bool
-fieldI64(const json::Value &v, const char *key, std::int64_t *out,
-         std::string *error)
-{
-    const json::Value *f = v.get(key);
-    if (!f || !f->asI64(out))
-        return fail(error,
-                    std::string(key) + " missing or not an integer");
-    return true;
-}
-
-bool
 fieldDouble(const json::Value &v, const char *key, double *out,
             std::string *error)
 {
@@ -46,6 +33,19 @@ fieldDouble(const json::Value &v, const char *key, double *out,
         return fail(error,
                     std::string(key) + " missing or not a number");
     *out = f->asDouble();
+    return true;
+}
+
+namespace {
+
+bool
+fieldI64(const json::Value &v, const char *key, std::int64_t *out,
+         std::string *error)
+{
+    const json::Value *f = v.get(key);
+    if (!f || !f->asI64(out))
+        return fail(error,
+                    std::string(key) + " missing or not an integer");
     return true;
 }
 

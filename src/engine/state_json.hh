@@ -16,6 +16,7 @@
 #ifndef SHARCH_ENGINE_STATE_JSON_HH
 #define SHARCH_ENGINE_STATE_JSON_HH
 
+#include <cstdint>
 #include <string>
 
 #include "common/json.hh"
@@ -23,6 +24,19 @@
 #include "hyper/spot_market.hh"
 
 namespace sharch::engine {
+
+/** Set *@p error (when non-null) to @p what; always returns false. */
+bool fail(std::string *error, const std::string &what);
+
+/**
+ * Strict field readers shared by every sharch-state-v1 parser: read
+ * @p key of object @p v into @p out, or fail with
+ * "<key> missing or not an unsigned integer" / "... not a number".
+ */
+bool fieldU64(const json::Value &v, const char *key, std::uint64_t *out,
+              std::string *error);
+bool fieldDouble(const json::Value &v, const char *key, double *out,
+                 std::string *error);
 
 /** The "fabric" object: geometry, allocations, faulty tiles. */
 json::Value fabricToJson(const FabricSnapshot &fs);

@@ -2,11 +2,10 @@
  * @file
  * Command-line options for the redesigned ssim run API.
  *
- * The historical CLI was purely positional
- * (`ssim <benchmark> [config.xml] [instructions]`); this parser keeps
- * that form working while adding named flags:
+ * ssim takes one positional argument, the benchmark name; everything
+ * else is a named flag:
  *
- *   --config FILE       XML configuration (positional #2 equivalent)
+ *   --config FILE       XML configuration
  *   --instructions N    trace length per thread
  *   --slices LIST       Slice counts, e.g. `4`, `1,2,4,8`, or `1-8`
  *   --banks LIST        64 KB L2 bank counts, e.g. `0,2,128`
@@ -40,14 +39,13 @@
 #include <vector>
 
 #include "config/sim_config.hh"
-#include "trace/inst_source.hh"
 
 namespace sharch::exec {
 
 /**
  * The values of the flags every sharch binary shares.  ssim,
  * sharch-bench, and sharch-serve all parse --instructions, --seed,
- * --threads, and --trace-mode through one option-spec table
+ * --threads, and --sample through one option-spec table
  * (handleSharedFlag), so the three CLIs accept identical spellings
  * with identical validation and identical error messages -- they
  * cannot drift apart flag by flag.
@@ -59,8 +57,6 @@ struct SharedFlagValues
     std::uint64_t seed = 0;
     bool seedSet = false;
     unsigned threads = 0;              //!< 0: resolveThreadCount()
-    TraceMode traceMode = TraceMode::Stream;
-    bool traceModeSet = false;
     SampleSchedule sample;             //!< --sample U:W:M schedule
     bool sampleSet = false;
 };
@@ -88,7 +84,6 @@ struct RunOptions
     std::uint64_t seed = 0;
     bool seedSet = false;              //!< --seed given (else config's)
     unsigned threads = 0;              //!< 0: resolveThreadCount()
-    TraceMode traceMode = TraceMode::Stream; //!< --trace-mode
     SampleSchedule sample;             //!< --sample schedule
     bool sampleSet = false;            //!< --sample given (else full)
     std::string faultSpec;             //!< empty: no fault injection
@@ -99,14 +94,6 @@ struct RunOptions
     bool json = false;
     bool dumpConfig = false;
     bool listBenchmarks = false;
-
-    /**
-     * Nonempty when the legacy positional `[config.xml]
-     * [instructions]` form was used: a one-line warning naming the
-     * named-flag equivalents.  The caller prints it to stderr; the
-     * run still proceeds.
-     */
-    std::string deprecationWarning;
 
     std::string error; //!< nonempty: parse failed, show usage
 
@@ -120,8 +107,8 @@ struct RunOptions
 
 /**
  * Parse @p argv (never throws; malformed numbers set .error).
- * Accepts flags in any position, mixed with the legacy positional
- * `<benchmark> [config.xml] [instructions]` form.
+ * Accepts flags in any position around the one positional, the
+ * benchmark name.
  */
 RunOptions parseRunOptions(int argc, const char *const *argv);
 
@@ -161,7 +148,6 @@ struct BenchOptions
     std::uint64_t seed = 0;
     bool seedSet = false;              //!< --seed given
     unsigned threads = 0;              //!< 0: resolveThreadCount()
-    TraceMode traceMode = TraceMode::Stream; //!< --trace-mode
     SampleSchedule sample;             //!< --sample schedule
     bool sampleSet = false;            //!< --sample given (else full)
     std::string metricsOut;            //!< empty: no metrics files
@@ -204,7 +190,6 @@ struct ServeOptions
     std::size_t instructions = 2000;
     std::uint64_t seed = 1;
     unsigned threads = 0;              //!< 0: resolveThreadCount()
-    TraceMode traceMode = TraceMode::Stream; //!< --trace-mode
     SampleSchedule sample;             //!< --sample schedule
     bool sampleSet = false;            //!< --sample given (else full)
     int fabricWidth = 8;

@@ -20,40 +20,9 @@
 
 namespace sharch::fleet {
 
-namespace {
-
-bool
-fail(std::string *error, const std::string &what)
-{
-    if (error)
-        *error = what;
-    return false;
-}
-
-bool
-stateU64(const json::Value &v, const char *key, std::uint64_t *out,
-         std::string *error)
-{
-    const json::Value *f = v.get(key);
-    if (!f || !f->asU64(out))
-        return fail(error, std::string(key) +
-                               " missing or not an unsigned integer");
-    return true;
-}
-
-bool
-stateDouble(const json::Value &v, const char *key, double *out,
-            std::string *error)
-{
-    const json::Value *f = v.get(key);
-    if (!f || !f->isNumber())
-        return fail(error,
-                    std::string(key) + " missing or not a number");
-    *out = f->asDouble();
-    return true;
-}
-
-} // namespace
+using engine::fail;
+using engine::fieldDouble;
+using engine::fieldU64;
 
 std::string
 FleetEngine::saveState() const
@@ -162,10 +131,10 @@ FleetEngine::restoreState(const std::string &text,
 
     std::uint64_t clock = 0, nextSeq = 0, nextLease = 0,
                   replaced = 0;
-    if (!stateU64(root, "clock", &clock, error) ||
-        !stateU64(root, "next_seq", &nextSeq, error) ||
-        !stateU64(root, "next_lease", &nextLease, error) ||
-        !stateU64(root, "replaced", &replaced, error)) {
+    if (!fieldU64(root, "clock", &clock, error) ||
+        !fieldU64(root, "next_seq", &nextSeq, error) ||
+        !fieldU64(root, "next_lease", &nextLease, error) ||
+        !fieldU64(root, "replaced", &replaced, error)) {
         return false;
     }
 
@@ -178,8 +147,8 @@ FleetEngine::restoreState(const std::string &text,
         return fail(error, "stream missing or not an object");
     std::uint64_t streamPrev = 0, streamEnd = 0;
     std::string sub;
-    if (!stateU64(*stream, "prev", &streamPrev, &sub) ||
-        !stateU64(*stream, "end", &streamEnd, &sub)) {
+    if (!fieldU64(*stream, "prev", &streamPrev, &sub) ||
+        !fieldU64(*stream, "end", &streamEnd, &sub)) {
         return fail(error, "stream." + sub);
     }
 
@@ -187,8 +156,8 @@ FleetEngine::restoreState(const std::string &text,
     if (!probe || !probe->isObject())
         return fail(error, "probe missing or not an object");
     std::uint64_t lookups = 0, tierProbes = 0;
-    if (!stateU64(*probe, "lookups", &lookups, &sub) ||
-        !stateU64(*probe, "tiers", &tierProbes, &sub)) {
+    if (!fieldU64(*probe, "lookups", &lookups, &sub) ||
+        !fieldU64(*probe, "tiers", &tierProbes, &sub)) {
         return fail(error, "probe." + sub);
     }
 
@@ -205,7 +174,7 @@ FleetEngine::restoreState(const std::string &text,
         if (!cv.isObject())
             return fail(error, where + ": not an object");
         std::uint64_t id = 0;
-        if (!stateU64(cv, "id", &id, &sub))
+        if (!fieldU64(cv, "id", &id, &sub))
             return fail(error, where + ": " + sub);
         if (static_cast<std::int64_t>(id) <= prevChip)
             return fail(error,
@@ -253,12 +222,12 @@ FleetEngine::restoreState(const std::string &text,
             return fail(error, where + "not an object");
         FleetLease lease;
         std::uint64_t chip = 0, slices = 0, banks = 0;
-        if (!stateU64(l, "id", &lease.id, &sub) ||
-            !stateU64(l, "chip", &chip, &sub) ||
-            !stateU64(l, "local", &lease.local, &sub) ||
-            !stateU64(l, "slices", &slices, &sub) ||
-            !stateU64(l, "banks", &banks, &sub) ||
-            !stateU64(l, "arrived_at", &lease.arrivedAt, &sub)) {
+        if (!fieldU64(l, "id", &lease.id, &sub) ||
+            !fieldU64(l, "chip", &chip, &sub) ||
+            !fieldU64(l, "local", &lease.local, &sub) ||
+            !fieldU64(l, "slices", &slices, &sub) ||
+            !fieldU64(l, "banks", &banks, &sub) ||
+            !fieldU64(l, "arrived_at", &lease.arrivedAt, &sub)) {
             return fail(error, where + sub);
         }
         const json::Value *tenant = l.get("tenant");
@@ -353,16 +322,16 @@ FleetEngine::restoreState(const std::string &text,
         if (!sv.isObject())
             return fail(error, where + "not an object");
         ChurnSample s;
-        if (!stateU64(sv, "at", &s.at, &sub) ||
-            !stateU64(sv, "live", &s.live, &sub) ||
-            !stateU64(sv, "leased_slices", &s.leasedSlices,
+        if (!fieldU64(sv, "at", &s.at, &sub) ||
+            !fieldU64(sv, "live", &s.live, &sub) ||
+            !fieldU64(sv, "leased_slices", &s.leasedSlices,
                       &sub) ||
-            !stateU64(sv, "leased_banks", &s.leasedBanks, &sub) ||
-            !stateU64(sv, "rejected", &s.rejected, &sub) ||
-            !stateU64(sv, "evictions", &s.evictions, &sub) ||
-            !stateU64(sv, "materialized", &s.materialized, &sub) ||
-            !stateDouble(sv, "revenue", &s.revenue, &sub) ||
-            !stateDouble(sv, "fragmentation", &s.fragmentation,
+            !fieldU64(sv, "leased_banks", &s.leasedBanks, &sub) ||
+            !fieldU64(sv, "rejected", &s.rejected, &sub) ||
+            !fieldU64(sv, "evictions", &s.evictions, &sub) ||
+            !fieldU64(sv, "materialized", &s.materialized, &sub) ||
+            !fieldDouble(sv, "revenue", &s.revenue, &sub) ||
+            !fieldDouble(sv, "fragmentation", &s.fragmentation,
                          &sub)) {
             return fail(error, where + sub);
         }

@@ -20,7 +20,6 @@
 
 #include "config/sim_config.hh"
 #include "study/study.hh"
-#include "trace/inst_source.hh"
 
 namespace sharch {
 
@@ -34,12 +33,9 @@ struct EngineOptions
     std::size_t instructions = 40000; //!< trace length per thread
     std::uint64_t seed = 1;           //!< base generation seed
     unsigned threads = 0;             //!< 0: exec::resolveThreadCount()
-    /** Studies stream by default; reports are bit-identical in both
-     *  modes, so the mode never enters Report::meta. */
-    TraceMode traceMode = TraceMode::Stream;
     /** --sample U:W:M: run every study point through the SMARTS
      *  sampling estimator.  Sampled numbers are estimates, so the
-     *  schedule IS stamped into Report::meta (unlike traceMode). */
+     *  schedule is stamped into Report::meta. */
     SampleSchedule sample;
     bool sampleSet = false;
 };

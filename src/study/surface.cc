@@ -47,18 +47,6 @@ envSeed(std::uint64_t fallback)
     return envCount("SHARCH_BENCH_SEED", fallback, true);
 }
 
-PerfModel &
-sharedPerfModel()
-{
-    static PerfModel pm(envInstructions(), envSeed());
-    static bool initialized = [] {
-        enableSharedDiskCache(pm);
-        return true;
-    }();
-    (void)initialized;
-    return pm;
-}
-
 void
 enableSharedDiskCache(PerfModel &pm)
 {

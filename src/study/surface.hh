@@ -44,16 +44,6 @@ std::size_t envInstructions(std::size_t fallback = 40000);
 /** SHARCH_BENCH_SEED, validated; garbage warns and returns default. */
 std::uint64_t envSeed(std::uint64_t fallback = 1);
 
-/**
- * The shared, disk-cached performance model at the environment's
- * instruction count and seed.  A process-wide singleton: PerfModel
- * owns mutexes and is deliberately not movable.  Callers that need a
- * different (instructions, seed) -- like the sharch-bench driver with
- * explicit flags -- construct their own PerfModel and call
- * enableSharedDiskCache() on it instead.
- */
-PerfModel &sharedPerfModel();
-
 /** Point @p pm at the shared CSV cache (kPerfCachePath). */
 void enableSharedDiskCache(PerfModel &pm);
 

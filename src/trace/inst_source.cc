@@ -4,26 +4,6 @@
 
 namespace sharch {
 
-bool
-parseTraceMode(std::string_view text, TraceMode &out)
-{
-    if (text == "stream") {
-        out = TraceMode::Stream;
-        return true;
-    }
-    if (text == "materialize") {
-        out = TraceMode::Materialize;
-        return true;
-    }
-    return false;
-}
-
-const char *
-traceModeName(TraceMode mode)
-{
-    return mode == TraceMode::Stream ? "stream" : "materialize";
-}
-
 StreamingTraceSource::StreamingTraceSource(const TraceGenerator &gen,
                                            std::uint64_t limit,
                                            unsigned thread_id)
@@ -64,15 +44,6 @@ MaterializedTraceSource::MaterializedTraceSource(const Trace &trace)
 {
 }
 
-MaterializedTraceSource::MaterializedTraceSource(TraceBundlePtr bundle,
-                                                 std::size_t index)
-    : bundle_(std::move(bundle))
-{
-    SHARCH_ASSERT(bundle_ && index < bundle_->size(),
-                  "materialized source index out of range");
-    trace_ = &(*bundle_)[index];
-}
-
 bool
 MaterializedTraceSource::refill()
 {
@@ -96,18 +67,6 @@ streamSources(std::shared_ptr<const TraceGenerator> gen,
     for (unsigned t = 0; t < threads; ++t)
         sources.push_back(std::make_unique<StreamingTraceSource>(
             gen, instructions_per_thread, t));
-    return sources;
-}
-
-std::vector<std::unique_ptr<InstSource>>
-materializedSources(TraceBundlePtr bundle)
-{
-    SHARCH_ASSERT(bundle != nullptr, "materializedSources needs traces");
-    std::vector<std::unique_ptr<InstSource>> sources;
-    sources.reserve(bundle->size());
-    for (std::size_t i = 0; i < bundle->size(); ++i)
-        sources.push_back(
-            std::make_unique<MaterializedTraceSource>(bundle, i));
     return sources;
 }
 

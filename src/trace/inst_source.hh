@@ -20,9 +20,9 @@
  * Determinism contract: for a given (profile, seed, thread id) and
  * instruction budget, StreamingTraceSource emits byte-for-byte the
  * sequence TraceGenerator::generate() materializes (see the Cursor
- * prefix-identity argument in trace/generator.hh), so SimStats and
- * every sharch-report-v1 document are bit-identical across
- * --trace-mode stream and materialize.
+ * prefix-identity argument in trace/generator.hh), so a streamed run
+ * and VmSim::run() over the pre-generated traces produce bit-identical
+ * SimStats.
  */
 
 #ifndef SHARCH_TRACE_INST_SOURCE_HH
@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,31 +38,6 @@
 #include "trace/instruction.hh"
 
 namespace sharch {
-
-/**
- * An immutable, shareable set of generated per-thread traces.  Trace
- * storage is the dominant memory consumer of long multi-benchmark
- * batches (instructions x threads x 32 B per benchmark), so generated
- * bundles are reference-counted: a cache can keep a bounded number of
- * benchmarks hot while in-flight simulations pin the bundle they
- * replay, and evicted benchmarks regenerate deterministically on next
- * use.  Only the materialized path allocates bundles at all.
- */
-using TraceBundle = std::vector<Trace>;
-using TraceBundlePtr = std::shared_ptr<const TraceBundle>;
-
-/** How simulations obtain their instruction stream. */
-enum class TraceMode
-{
-    Stream,      //!< fuse generation into the sim loop (single pass)
-    Materialize, //!< pre-generate full Trace vectors (multi-pass)
-};
-
-/** Parse "stream" / "materialize"; @return false on anything else. */
-bool parseTraceMode(std::string_view text, TraceMode &out);
-
-/** Printable mode name ("stream" / "materialize"). */
-const char *traceModeName(TraceMode mode);
 
 /**
  * A bounded, single-pass instruction stream for one thread.
@@ -251,10 +225,9 @@ class StreamingTraceSource final : public InstSource
 };
 
 /**
- * Serves an already-materialized Trace as a single window.  Used by
- * multi-pass consumers (trace I/O round-trips, calibration summaries,
- * replay-heavy tests) and as the compatibility path for callers that
- * still hold Trace vectors.
+ * Serves a borrowed, already-materialized Trace as a single window:
+ * the adapter behind VmSim::run(const std::vector<Trace> &), which
+ * replays pre-generated traces.
  */
 class MaterializedTraceSource final : public InstSource
 {
@@ -262,14 +235,10 @@ class MaterializedTraceSource final : public InstSource
     /** Borrow @p trace, which must outlive the source. */
     explicit MaterializedTraceSource(const Trace &trace);
 
-    /** Pin @p bundle and serve its @p index-th thread trace. */
-    MaterializedTraceSource(TraceBundlePtr bundle, std::size_t index);
-
   protected:
     bool refill() override;
 
   private:
-    TraceBundlePtr bundle_; //!< null when borrowing
     const Trace *trace_;
     bool served_ = false;
 };
@@ -282,10 +251,6 @@ class MaterializedTraceSource final : public InstSource
 std::vector<std::unique_ptr<InstSource>> streamSources(
     std::shared_ptr<const TraceGenerator> gen,
     std::uint64_t instructions_per_thread);
-
-/** One pinning materialized source per thread trace of @p bundle. */
-std::vector<std::unique_ptr<InstSource>> materializedSources(
-    TraceBundlePtr bundle);
 
 } // namespace sharch
 

@@ -438,42 +438,6 @@ TEST(PerfModel, DiskCacheNeverReplacesAMemoizedPoint)
     std::filesystem::remove(path);
 }
 
-TEST(PerfModel, TraceCacheBoundedAcrossBatches)
-{
-    // A long multi-benchmark batch must not hold every benchmark's
-    // trace streams forever: the LRU bound caps the distinct
-    // workloads resident at once.
-    PerfModel pm(2000);
-    pm.setTraceCacheCapacity(2);
-    const auto grid = exec::sweepGrid(
-        {std::string("gcc"), "hmmer", "sjeng", "mcf", "astar"}, {1},
-        {1u, 2u});
-    const auto results = pm.performanceBatch(grid, 2);
-    ASSERT_EQ(results.size(), grid.size());
-    for (const auto &r : results)
-        EXPECT_GT(r.ipc, 0.0);
-    EXPECT_LE(pm.traceCacheSize(), 2u);
-}
-
-TEST(PerfModel, EvictedTracesRegenerateIdentically)
-{
-    // Eviction must be invisible in the results: a capacity-1 model
-    // (every switch regenerates) matches an unbounded one bit-for-bit.
-    // The bundle cache only exists on the materialized path.
-    PerfModel bounded(2000);
-    bounded.setTraceMode(TraceMode::Materialize);
-    bounded.setTraceCacheCapacity(1);
-    PerfModel roomy(2000);
-    roomy.setTraceMode(TraceMode::Materialize);
-    for (unsigned banks : {1u, 4u}) {
-        for (const char *b : {"gcc", "hmmer", "gcc", "hmmer"}) {
-            EXPECT_DOUBLE_EQ(bounded.performance(b, banks, 2),
-                             roomy.performance(b, banks, 2));
-        }
-    }
-    EXPECT_EQ(bounded.traceCacheSize(), 1u);
-}
-
 TEST(PerfModel, PhaseProfilesWork)
 {
     PerfModel pm(4000);

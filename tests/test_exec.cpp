@@ -148,35 +148,23 @@ TEST(SweepRunner, ResultsFollowInputOrderAndDedup)
     EXPECT_EQ(evals.load(), 4);             // evaluated once
 }
 
-TEST(CliParse, LegacyPositionalFormStillWorks)
+TEST(CliParse, OnlyTheBenchmarkIsPositional)
 {
-    const RunOptions o =
-        parse({"gcc", "tools/configs/big_vcore.xml", "5000"});
-    ASSERT_TRUE(o.ok()) << o.error;
-    EXPECT_EQ(o.benchmark, "gcc");
-    EXPECT_EQ(o.configPath, "tools/configs/big_vcore.xml");
-    EXPECT_EQ(o.instructions, 5000u);
-    EXPECT_FALSE(o.isSweep());
-}
+    // The benchmark is the only positional; a second one is an error
+    // that names the flags to use instead.
+    const RunOptions positional = parse({"gcc", "cfg.xml", "5000"});
+    ASSERT_FALSE(positional.ok());
+    EXPECT_EQ(positional.error,
+              "unexpected argument 'cfg.xml' (use --config FILE and "
+              "--instructions N)");
 
-TEST(CliParse, LegacyPositionalFormWarnsDeprecation)
-{
-    // Positional config/instructions still parse but carry a
-    // one-line warning naming the named-flag equivalents.
-    const RunOptions legacy = parse({"gcc", "cfg.xml", "5000"});
-    ASSERT_TRUE(legacy.ok()) << legacy.error;
-    EXPECT_NE(legacy.deprecationWarning.find("deprecated"),
-              std::string::npos);
-    EXPECT_NE(legacy.deprecationWarning.find("--config"),
-              std::string::npos);
-    EXPECT_NE(legacy.deprecationWarning.find("--instructions"),
-              std::string::npos);
-
-    // The benchmark positional itself is fine, flags are fine.
-    EXPECT_TRUE(parse({"gcc"}).deprecationWarning.empty());
-    EXPECT_TRUE(parse({"gcc", "--config", "cfg.xml",
-                       "--instructions", "5000"})
-                    .deprecationWarning.empty());
+    const RunOptions named = parse({"gcc", "--config", "cfg.xml",
+                                    "--instructions", "5000"});
+    ASSERT_TRUE(named.ok()) << named.error;
+    EXPECT_EQ(named.benchmark, "gcc");
+    EXPECT_EQ(named.configPath, "cfg.xml");
+    EXPECT_EQ(named.instructions, 5000u);
+    EXPECT_FALSE(named.isSweep());
 }
 
 TEST(CliParse, SharedFlagsErrorIdenticallyAcrossBinaries)
@@ -213,56 +201,22 @@ TEST(CliParse, SharedFlagsErrorIdenticallyAcrossBinaries)
               parseServeOptions(3, serveInstr).error);
     EXPECT_EQ(parseRunOptions(4, runInstr).error,
               "bad --instructions '0'");
-
-    const char *runMode[] = {"ssim", "gcc", "--trace-mode", "eager"};
-    const char *benchMode[] = {"sharch-bench", "fig13", "--trace-mode",
-                               "eager"};
-    const char *serveMode[] = {"sharch-serve", "--trace-mode",
-                               "eager"};
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              parseBenchOptions(4, benchMode).error);
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              parseServeOptions(3, serveMode).error);
-    EXPECT_EQ(parseRunOptions(4, runMode).error,
-              "bad --trace-mode 'eager' (want stream or materialize)");
 }
 
-TEST(CliParse, TraceModeFlagReachesAllBinaries)
+TEST(CliParse, TraceModeFlagIsUnknown)
 {
-    // Default is streaming everywhere; --trace-mode switches all
-    // three binaries through the shared spec table.
-    const char *runDefault[] = {"ssim", "gcc"};
-    EXPECT_EQ(parseRunOptions(2, runDefault).traceMode,
-              TraceMode::Stream);
-    const char *serveDefault[] = {"sharch-serve"};
-    EXPECT_EQ(parseServeOptions(1, serveDefault).traceMode,
-              TraceMode::Stream);
-    const char *benchDefault[] = {"sharch-bench", "fig13"};
-    EXPECT_EQ(parseBenchOptions(2, benchDefault).traceMode,
-              TraceMode::Stream);
-
-    const char *runMat[] = {"ssim", "gcc", "--trace-mode",
-                            "materialize"};
-    const RunOptions r = parseRunOptions(4, runMat);
-    ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_EQ(r.traceMode, TraceMode::Materialize);
-
-    const char *benchMat[] = {"sharch-bench", "fig13", "--trace-mode",
-                              "materialize"};
-    const BenchOptions b = parseBenchOptions(4, benchMat);
-    ASSERT_TRUE(b.ok()) << b.error;
-    EXPECT_EQ(b.traceMode, TraceMode::Materialize);
-
-    const char *serveMat[] = {"sharch-serve", "--trace-mode",
-                              "materialize"};
-    const ServeOptions s = parseServeOptions(3, serveMat);
-    ASSERT_TRUE(s.ok()) << s.error;
-    EXPECT_EQ(s.traceMode, TraceMode::Materialize);
-
-    const char *runStream[] = {"ssim", "gcc", "--trace-mode",
+    // Every binary streams its traces; there is no mode to choose.
+    const char *runMode[] = {"ssim", "gcc", "--trace-mode", "stream"};
+    const char *benchMode[] = {"sharch-bench", "fig13", "--trace-mode",
                                "stream"};
-    EXPECT_EQ(parseRunOptions(4, runStream).traceMode,
-              TraceMode::Stream);
+    const char *serveMode[] = {"sharch-serve", "--trace-mode",
+                               "stream"};
+    EXPECT_EQ(parseRunOptions(4, runMode).error,
+              "unknown flag '--trace-mode'");
+    EXPECT_EQ(parseBenchOptions(4, benchMode).error,
+              "unknown flag '--trace-mode'");
+    EXPECT_EQ(parseServeOptions(3, serveMode).error,
+              "unknown argument '--trace-mode'");
 }
 
 TEST(CliParse, SampleFlagErrorsIdenticallyAcrossBinaries)

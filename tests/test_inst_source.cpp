@@ -9,13 +9,12 @@
  *     instruction sequence TraceGenerator::generateThreads()
  *     materializes -- field by field (TraceInst has padding bytes, so
  *     memcmp would compare garbage).
- *  2. Bit-identical simulation: VmSim and PerfModel produce identical
- *     SimStats (via toJson) whether the instruction stream is
- *     streamed or materialized, for single- and multithreaded
- *     workloads.
+ *  2. Bit-identical simulation: a streamed VmSim run produces the
+ *     SimStats (via toJson) of VmSim::run() over the pre-generated
+ *     traces, for single- and multithreaded workloads, and every
+ *     PerfModel point equals that materialized replay.
  *  3. Memory regression: streaming storage stays O(kBufferInsts)
- *     regardless of the instruction budget, and the PerfModel bundle
- *     cache stays empty in streaming mode.
+ *     regardless of the instruction budget.
  */
 
 #include <algorithm>
@@ -30,6 +29,7 @@
 #include "config/sim_config.hh"
 #include "core/perf_model.hh"
 #include "core/vm_sim.hh"
+#include "exec/sweep.hh"
 #include "trace/generator.hh"
 #include "trace/inst_source.hh"
 #include "trace/profile.hh"
@@ -148,21 +148,25 @@ TEST(StreamingDifferential, SkipPreservesAlignment)
     EXPECT_EQ(src.skip(10), 0u) << "skip past end reports 0";
 }
 
-TEST(MaterializedSource, ServesWholeTraceOnceAndPinsBundle)
+TEST(MaterializedSource, ServesBorrowedTraceOnce)
 {
     const BenchmarkProfile &p = profileFor("bzip");
     TraceGenerator gen(p, 5);
-    auto bundle = std::make_shared<const TraceBundle>(
-        gen.generateThreads(1000));
-    const long pinned = bundle.use_count();
-    auto sources = materializedSources(bundle);
-    ASSERT_EQ(sources.size(), 1u);
-    EXPECT_GT(bundle.use_count(), pinned) << "source must pin bundle";
-    const std::vector<TraceInst> served = drain(std::move(sources[0]));
-    ASSERT_EQ(served.size(), (*bundle)[0].instructions.size());
+    const Trace trace = gen.generate(1000);
+    MaterializedTraceSource src(trace);
+    const std::vector<TraceInst> served = drain(src);
+    ASSERT_EQ(served.size(), trace.instructions.size());
     for (std::size_t i = 0; i < served.size(); ++i)
-        expectInstEq(served[i], (*bundle)[0].instructions[i], i,
+        expectInstEq(served[i], trace.instructions[i], i,
                      "materialized");
+    EXPECT_EQ(src.consumed(), trace.instructions.size());
+    std::size_t avail = 1;
+    EXPECT_EQ(src.window(avail), nullptr) << "served exactly once";
+    EXPECT_EQ(avail, 0u);
+
+    const Trace empty;
+    MaterializedTraceSource none(empty);
+    EXPECT_TRUE(none.exhausted());
 }
 
 /** The two modes' VmResults, same workload and config. */
@@ -213,27 +217,36 @@ TEST(ModeEquivalence, MultithreadedVmBitIdentical)
     expectModesBitIdentical(profileFor("swaptions"), 17, 4000);
 }
 
-TEST(ModeEquivalence, PerfModelSurfacesMatch)
+TEST(ModeEquivalence, PerfModelSurfaceMatchesAMaterializedReplay)
 {
-    PerfModel streaming(3000, 7);
-    streaming.setTraceMode(TraceMode::Stream);
-    PerfModel materializing(3000, 7);
-    materializing.setTraceMode(TraceMode::Materialize);
-
+    // PerfModel streams every point; each must equal VmSim::run()
+    // over the pre-generated traces at the point's derived seed.
+    constexpr std::size_t kInstructions = 3000;
+    constexpr std::uint64_t kSeed = 7;
+    PerfModel pm(kInstructions, kSeed);
     for (const char *name : {"gcc", "mcf", "ferret"}) {
+        const BenchmarkProfile &p = profileFor(name);
+        const unsigned vcores = p.multithreaded ? p.numThreads : 1;
+        const std::vector<Trace> traces =
+            TraceGenerator(p, kSeed).generateThreads(kInstructions);
         for (unsigned banks : {0u, 4u}) {
             for (unsigned slices : {1u, 4u}) {
-                EXPECT_EQ(streaming.performance(name, banks, slices),
-                          materializing.performance(name, banks,
-                                                    slices))
+                SimConfig cfg;
+                cfg.numSlices = slices;
+                cfg.numL2Banks = banks;
+                cfg.seed =
+                    exec::deriveJobSeed(kSeed, name, banks, slices);
+                VmSim vm(cfg, vcores);
+                vm.prewarm(p);
+                const double replayed =
+                    vm.run(traces).throughput() / vcores;
+                EXPECT_EQ(pm.performance(name, banks, slices),
+                          replayed)
                     << name << " banks=" << banks
                     << " slices=" << slices;
             }
         }
     }
-    EXPECT_EQ(streaming.traceCacheSize(), 0u)
-        << "streaming mode must not materialize bundles";
-    EXPECT_GT(materializing.traceCacheSize(), 0u);
 }
 
 TEST(StreamingMemory, BufferStaysBoundedOverLongRun)
@@ -270,46 +283,6 @@ TEST(StreamingMemory, SmallLimitAllocatesSmallBuffer)
     StreamingTraceSource src(gen, 64);
     EXPECT_LE(src.bufferCapacity(), 64u)
         << "a 64-instruction stream must not allocate a full buffer";
-}
-
-TEST(StreamingMemory, CacheCapacityIsNoOpInStreamMode)
-{
-    // setTraceCacheCapacity() is a materialized-path policy; in
-    // streaming mode it records the bound and no-ops.  Running many
-    // benchmarks through a capacity-1 streaming model must still
-    // leave the bundle cache empty -- nothing was ever materialized,
-    // so nothing is evicted or retained.
-    PerfModel pm(1500, 1);
-    pm.setTraceMode(TraceMode::Stream);
-    pm.setTraceCacheCapacity(1);
-    for (const char *name : {"gcc", "mcf", "hmmer", "sjeng"})
-        pm.performance(name, 4, 2);
-    EXPECT_EQ(pm.traceCacheSize(), 0u);
-
-    // The same bound governs the materialized path when switched on.
-    PerfModel mat(1500, 1);
-    mat.setTraceMode(TraceMode::Materialize);
-    mat.setTraceCacheCapacity(1);
-    for (const char *name : {"gcc", "mcf", "hmmer", "sjeng"})
-        mat.performance(name, 4, 2);
-    EXPECT_EQ(mat.traceCacheSize(), 1u);
-}
-
-TEST(TraceModeParse, NamesRoundTrip)
-{
-    TraceMode mode = TraceMode::Materialize;
-    EXPECT_TRUE(parseTraceMode("stream", mode));
-    EXPECT_EQ(mode, TraceMode::Stream);
-    EXPECT_TRUE(parseTraceMode("materialize", mode));
-    EXPECT_EQ(mode, TraceMode::Materialize);
-    EXPECT_STREQ(traceModeName(TraceMode::Stream), "stream");
-    EXPECT_STREQ(traceModeName(TraceMode::Materialize), "materialize");
-
-    mode = TraceMode::Stream;
-    EXPECT_FALSE(parseTraceMode("", mode));
-    EXPECT_FALSE(parseTraceMode("streaming", mode));
-    EXPECT_FALSE(parseTraceMode("Materialize", mode));
-    EXPECT_EQ(mode, TraceMode::Stream) << "failed parse must not write";
 }
 
 } // namespace

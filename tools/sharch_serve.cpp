@@ -152,7 +152,6 @@ main(int argc, char **argv)
     }
 
     PerfModel pm(opts.instructions, opts.seed);
-    pm.setTraceMode(opts.traceMode);
     if (opts.sampleSet)
         pm.setSampleMode(SampleMode::Sampled, opts.sample);
     AreaModel am;

@@ -148,19 +148,9 @@ runSingle(const exec::RunOptions &opts, const SimConfig &cfg,
 
     VmSim vm(cfg, vcores);
     vm.prewarm(profile);
-    // Both modes produce bit-identical VmResults (the differential
-    // tests enforce it); streaming just never materializes the trace.
-    std::vector<std::unique_ptr<InstSource>> sources;
-    if (opts.traceMode == TraceMode::Stream) {
-        const auto gen =
-            std::make_shared<const TraceGenerator>(profile, cfg.seed);
-        sources = streamSources(gen, opts.instructions);
-    } else {
-        TraceGenerator gen(profile, cfg.seed);
-        sources = materializedSources(
-            std::make_shared<const std::vector<Trace>>(
-                gen.generateThreads(opts.instructions)));
-    }
+    const auto sources = streamSources(
+        std::make_shared<const TraceGenerator>(profile, cfg.seed),
+        opts.instructions);
     VmResult res;
     if (opts.sampleSet) {
         SamplingController controller(opts.sample, cfg.seed);
@@ -229,7 +219,6 @@ runSweep(const exec::RunOptions &opts, const SimConfig &cfg,
                      opts.configPath.c_str());
     }
     PerfModel pm(opts.instructions, cfg.seed);
-    pm.setTraceMode(opts.traceMode);
     if (opts.sampleSet)
         pm.setSampleMode(SampleMode::Sampled, opts.sample);
     const std::vector<exec::SweepPoint> grid =
@@ -357,9 +346,6 @@ main(int argc, char **argv)
     const exec::RunOptions opts = exec::parseRunOptions(argc, argv);
     if (!opts.ok())
         return usageError(argv[0], opts.error);
-    if (!opts.deprecationWarning.empty())
-        std::fprintf(stderr, "%s\n",
-                     opts.deprecationWarning.c_str());
 
     if (opts.dumpConfig) {
         std::fputs(simConfigToXml(SimConfig{}).c_str(), stdout);
