@@ -5,8 +5,8 @@
  * EfficiencyResult's customer-pair gains.
  */
 
-#ifndef SHARCH_BENCH_EFFICIENCY_TABLES_HH
-#define SHARCH_BENCH_EFFICIENCY_TABLES_HH
+#ifndef SHARCH_EFFICIENCY_TABLES_HH
+#define SHARCH_EFFICIENCY_TABLES_HH
 
 #include <algorithm>
 #include <vector>
@@ -61,4 +61,4 @@ gainTables(study::Report &report, const EfficiencyResult &res)
 
 } // namespace sharch::bench
 
-#endif // SHARCH_BENCH_EFFICIENCY_TABLES_HH
+#endif // SHARCH_EFFICIENCY_TABLES_HH

@@ -154,10 +154,8 @@ main(int argc, char **argv)
     }
 
     study::EngineOptions engine;
-    engine.instructions = opts.instructions
-                              ? opts.instructions
-                              : study::envInstructions();
-    engine.seed = opts.seedSet ? opts.seed : study::envSeed();
+    engine.instructions = opts.instructions;
+    engine.seed = opts.seed;
     engine.threads = exec::resolveThreadCount(opts.threads);
     engine.sample = opts.sample;
     engine.sampleSet = opts.sampleSet;

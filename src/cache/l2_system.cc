@@ -77,9 +77,10 @@ L2System::hopsTo(VCoreId vc, SliceId slice, BankId bank) const
     return placements_[vc].sliceToBankHops(slice, bank);
 }
 
+template <bool Timed>
 L2AccessResult
-L2System::access(VCoreId vc, SliceId slice, Addr addr, bool is_write,
-                 Cycles now)
+L2System::accessImpl(VCoreId vc, SliceId slice, Addr addr,
+                     bool is_write, Cycles now)
 {
     L2AccessResult res;
     const bool multi_vcore = placements_.size() > 1;
@@ -109,95 +110,67 @@ L2System::access(VCoreId vc, SliceId slice, Addr addr, bool is_write,
         // No L2 attached: every L1 miss goes to main memory.
         ++memoryAccesses_;
         res.wentToMemory = true;
-        res.doneCycle = now + 4 + cfg_.memoryLatency;
-        if (res.invalidations > 0)
-            res.doneCycle += 6;
+        if constexpr (Timed) {
+            res.doneCycle = now + 4 + cfg_.memoryLatency;
+            if (res.invalidations > 0)
+                res.doneCycle += 6;
+        }
         return res;
     }
 
     const BankId bank = bankFor(addr);
-    const unsigned hops = hopsTo(vc, slice, bank);
-    // One access per cycle per bank, slots claimable out of order.
-    const Cycles start = bankPort_[bank].schedule(now);
-
     ++accesses_;
     const AccessResult bank_res = banks_[bank].access(addr, is_write);
-    // Table 3: hit delay = distance*2 + 4.
-    Cycles done = start + hops * cfg_.l2DistanceCyclesPerHop +
-                  cfg_.l2Bank.hitLatency;
     if (!bank_res.hit) {
         ++misses_;
         ++memoryAccesses_;
         res.wentToMemory = true;
-        done += cfg_.memoryLatency;
     }
-    if (res.invalidations > 0)
-        done += 6; // invalidation round-trip before data is usable
     res.l2Hit = bank_res.hit;
-    res.doneCycle = done;
-#if SHARCH_OBS
-    if (obs::enabled()) {
-        auto &reg = obs::MetricsRegistry::instance();
-        const CacheMetrics &m = cacheMetrics();
-        reg.add(m.accesses);
+    if constexpr (Timed) {
+        // The bank port shares no state with the tags above, so
+        // scheduling it after the access changes nothing.  One access
+        // per cycle per bank, slots claimable out of order.
+        const unsigned hops = hopsTo(vc, slice, bank);
+        const Cycles start = bankPort_[bank].schedule(now);
+        // Table 3: hit delay = distance*2 + 4.
+        Cycles done = start + hops * cfg_.l2DistanceCyclesPerHop +
+                      cfg_.l2Bank.hitLatency;
         if (!bank_res.hit)
-            reg.add(m.misses);
+            done += cfg_.memoryLatency;
         if (res.invalidations > 0)
-            reg.add(m.invalidations, res.invalidations);
-        reg.observe(m.latency, static_cast<double>(done - now));
-        obs::Tracer::instance().record(
-            {bank_res.hit ? "l2_hit" : "l2_miss", "cache", start,
-             done, obs::kPidCache, bank, hops, "hops"});
-    }
+            done += 6; // invalidation round-trip before data is usable
+        res.doneCycle = done;
+#if SHARCH_OBS
+        if (obs::enabled()) {
+            auto &reg = obs::MetricsRegistry::instance();
+            const CacheMetrics &m = cacheMetrics();
+            reg.add(m.accesses);
+            if (!bank_res.hit)
+                reg.add(m.misses);
+            if (res.invalidations > 0)
+                reg.add(m.invalidations, res.invalidations);
+            reg.observe(m.latency, static_cast<double>(done - now));
+            obs::Tracer::instance().record(
+                {bank_res.hit ? "l2_hit" : "l2_miss", "cache", start,
+                 done, obs::kPidCache, bank, hops, "hops"});
+        }
 #endif
+    }
     return res;
+}
+
+L2AccessResult
+L2System::access(VCoreId vc, SliceId slice, Addr addr, bool is_write,
+                 Cycles now)
+{
+    return accessImpl<true>(vc, slice, addr, is_write, now);
 }
 
 L2AccessResult
 L2System::accessFunctional(VCoreId vc, Addr addr, bool is_write)
 {
-    // Mirror of access() minus ports and latency: the directory and
-    // bank mutations below are copied from it line for line, so the
-    // two paths cannot diverge architecturally.
-    L2AccessResult res;
-    const bool multi_vcore = placements_.size() > 1;
-    const Addr line = lineOf(addr);
-
-    if (multi_vcore) {
-        std::uint32_t &sharers = directory_[line];
-        if (is_write) {
-            for (std::size_t other = 0; other < l1ds_.size(); ++other) {
-                if (other == vc || !(sharers & (1u << other)))
-                    continue;
-                for (CacheModel *l1 : l1ds_[other]) {
-                    if (l1 && l1->invalidate(addr)) {
-                        ++res.invalidations;
-                        ++invalidations_;
-                    }
-                }
-            }
-            sharers = 1u << vc;
-        } else {
-            sharers |= 1u << vc;
-        }
-    }
-
-    if (banks_.empty()) {
-        ++memoryAccesses_;
-        res.wentToMemory = true;
-        return res;
-    }
-
-    ++accesses_;
-    const AccessResult bank_res =
-        banks_[bankFor(addr)].access(addr, is_write);
-    if (!bank_res.hit) {
-        ++misses_;
-        ++memoryAccesses_;
-        res.wentToMemory = true;
-    }
-    res.l2Hit = bank_res.hit;
-    return res;
+    return accessImpl<false>(vc, 0, addr, is_write, 0);
 }
 
 std::uint64_t

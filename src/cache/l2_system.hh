@@ -87,10 +87,11 @@ class L2System
                           bool is_write, Cycles now);
 
     /**
-     * The functional twin of access(): performs exactly the same
-     * architectural mutations -- directory sharers, remote-L1
-     * invalidations on writes, bank tag fill/eviction, access and
-     * miss counters -- but no port scheduling and no latency math.
+     * The functional twin of access(), run by the same body: exactly
+     * the same architectural mutations -- directory sharers,
+     * remote-L1 invalidations on writes, bank tag fill/eviction,
+     * access and miss counters -- but no port scheduling and no
+     * latency math.
      * Every mutation access() makes is independent of its @p now
      * argument, so a fast-forward built on this call leaves the L2 in
      * the identical tag/directory state a detailed walk would
@@ -174,6 +175,12 @@ class L2System
     Count memoryAccesses_ = 0;
 
     unsigned hopsTo(VCoreId vc, SliceId slice, BankId bank) const;
+
+    /** The one body of access() (Timed) and accessFunctional():
+     *  the untimed instance compiles out ports and latency. */
+    template <bool Timed>
+    L2AccessResult accessImpl(VCoreId vc, SliceId slice, Addr addr,
+                              bool is_write, Cycles now);
 };
 
 } // namespace sharch

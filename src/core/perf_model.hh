@@ -76,7 +76,7 @@ class PerfModel
     /**
      * Evaluate a whole batch of grid points, fanned across
      * @p threads sweep workers (0: exec::resolveThreadCount(), i.e.
-     * SHARCH_THREADS or hardware concurrency).  Results align with
+     * hardware concurrency).  Results align with
      * @p points; duplicates are simulated once.  Newly simulated
      * values enter the memo and the disk cache in the deterministic
      * order of @p points (single writer, one batched append), so the

@@ -19,33 +19,8 @@ subtractStats(const SimStats &a, const SimStats &b)
 {
     SimStats d;
     d.cycles = a.cycles - b.cycles;
-    d.instructionsCommitted =
-        a.instructionsCommitted - b.instructionsCommitted;
-    d.instructionsFetched = a.instructionsFetched - b.instructionsFetched;
-    d.squashedInstructions =
-        a.squashedInstructions - b.squashedInstructions;
-    d.branches = a.branches - b.branches;
-    d.branchMispredicts = a.branchMispredicts - b.branchMispredicts;
-    d.loads = a.loads - b.loads;
-    d.stores = a.stores - b.stores;
-    d.lsqViolations = a.lsqViolations - b.lsqViolations;
-    d.l1dAccesses = a.l1dAccesses - b.l1dAccesses;
-    d.l1dMisses = a.l1dMisses - b.l1dMisses;
-    d.l1iAccesses = a.l1iAccesses - b.l1iAccesses;
-    d.l1iMisses = a.l1iMisses - b.l1iMisses;
-    d.l2Accesses = a.l2Accesses - b.l2Accesses;
-    d.l2Misses = a.l2Misses - b.l2Misses;
-    d.coherenceInvalidations =
-        a.coherenceInvalidations - b.coherenceInvalidations;
-    d.operandRequests = a.operandRequests - b.operandRequests;
-    d.operandReplies = a.operandReplies - b.operandReplies;
-    d.operandNetworkHops = a.operandNetworkHops - b.operandNetworkHops;
-    d.operandNetworkStalls =
-        a.operandNetworkStalls - b.operandNetworkStalls;
-    d.renameBroadcasts = a.renameBroadcasts - b.renameBroadcasts;
-    d.sumOperandWait = a.sumOperandWait - b.sumOperandWait;
-    d.sumIssueWait = a.sumIssueWait - b.sumIssueWait;
-    d.sumExecLatency = a.sumExecLatency - b.sumExecLatency;
+    for (Count SimStats::*c : SimStats::kCounters)
+        d.*c = a.*c - b.*c;
     for (std::size_t i = 0; i < d.stallCycles.size(); ++i)
         d.stallCycles[i] = a.stallCycles[i] - b.stallCycles[i];
     return d;
@@ -56,29 +31,8 @@ void
 addStats(SimStats *acc, const SimStats &w)
 {
     acc->cycles += w.cycles;
-    acc->instructionsCommitted += w.instructionsCommitted;
-    acc->instructionsFetched += w.instructionsFetched;
-    acc->squashedInstructions += w.squashedInstructions;
-    acc->branches += w.branches;
-    acc->branchMispredicts += w.branchMispredicts;
-    acc->loads += w.loads;
-    acc->stores += w.stores;
-    acc->lsqViolations += w.lsqViolations;
-    acc->l1dAccesses += w.l1dAccesses;
-    acc->l1dMisses += w.l1dMisses;
-    acc->l1iAccesses += w.l1iAccesses;
-    acc->l1iMisses += w.l1iMisses;
-    acc->l2Accesses += w.l2Accesses;
-    acc->l2Misses += w.l2Misses;
-    acc->coherenceInvalidations += w.coherenceInvalidations;
-    acc->operandRequests += w.operandRequests;
-    acc->operandReplies += w.operandReplies;
-    acc->operandNetworkHops += w.operandNetworkHops;
-    acc->operandNetworkStalls += w.operandNetworkStalls;
-    acc->renameBroadcasts += w.renameBroadcasts;
-    acc->sumOperandWait += w.sumOperandWait;
-    acc->sumIssueWait += w.sumIssueWait;
-    acc->sumExecLatency += w.sumExecLatency;
+    for (Count SimStats::*c : SimStats::kCounters)
+        acc->*c += w.*c;
     for (std::size_t i = 0; i < acc->stallCycles.size(); ++i)
         acc->stallCycles[i] += w.stallCycles[i];
 }
@@ -97,33 +51,8 @@ scaleStats(const SimStats &sum, double scale)
 {
     SimStats e;
     e.cycles = scaleCount(sum.cycles, scale);
-    e.instructionsCommitted =
-        scaleCount(sum.instructionsCommitted, scale);
-    e.instructionsFetched = scaleCount(sum.instructionsFetched, scale);
-    e.squashedInstructions =
-        scaleCount(sum.squashedInstructions, scale);
-    e.branches = scaleCount(sum.branches, scale);
-    e.branchMispredicts = scaleCount(sum.branchMispredicts, scale);
-    e.loads = scaleCount(sum.loads, scale);
-    e.stores = scaleCount(sum.stores, scale);
-    e.lsqViolations = scaleCount(sum.lsqViolations, scale);
-    e.l1dAccesses = scaleCount(sum.l1dAccesses, scale);
-    e.l1dMisses = scaleCount(sum.l1dMisses, scale);
-    e.l1iAccesses = scaleCount(sum.l1iAccesses, scale);
-    e.l1iMisses = scaleCount(sum.l1iMisses, scale);
-    e.l2Accesses = scaleCount(sum.l2Accesses, scale);
-    e.l2Misses = scaleCount(sum.l2Misses, scale);
-    e.coherenceInvalidations =
-        scaleCount(sum.coherenceInvalidations, scale);
-    e.operandRequests = scaleCount(sum.operandRequests, scale);
-    e.operandReplies = scaleCount(sum.operandReplies, scale);
-    e.operandNetworkHops = scaleCount(sum.operandNetworkHops, scale);
-    e.operandNetworkStalls =
-        scaleCount(sum.operandNetworkStalls, scale);
-    e.renameBroadcasts = scaleCount(sum.renameBroadcasts, scale);
-    e.sumOperandWait = scaleCount(sum.sumOperandWait, scale);
-    e.sumIssueWait = scaleCount(sum.sumIssueWait, scale);
-    e.sumExecLatency = scaleCount(sum.sumExecLatency, scale);
+    for (Count SimStats::*c : SimStats::kCounters)
+        e.*c = scaleCount(sum.*c, scale);
     for (std::size_t i = 0; i < e.stallCycles.size(); ++i)
         e.stallCycles[i] = scaleCount(sum.stallCycles[i], scale);
     return e;

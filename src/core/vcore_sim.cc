@@ -1,9 +1,6 @@
 #include "core/vcore_sim.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.hh"
@@ -518,26 +515,6 @@ VCoreSim::processOne(const TraceInst &ti)
              seq_, "seq"});
     }
 #endif
-
-    // Timeline debugging: SHARCH_DEBUG_TIMELINE=<start>:<count> dumps
-    // per-instruction event times to stderr.
-    static const char *dbg = std::getenv("SHARCH_DEBUG_TIMELINE");
-    if (dbg) {
-        static const std::uint64_t dbg_start = std::strtoull(dbg, nullptr, 10);
-        static const std::uint64_t dbg_count =
-            std::strchr(dbg, ':') ? std::strtoull(std::strchr(dbg, ':') + 1,
-                                                  nullptr, 10) : 40;
-        if (seq_ >= dbg_start && seq_ < dbg_start + dbg_count) {
-            std::fprintf(stderr,
-                "seq=%llu op=%s sl=%u f=%llu d=%llu r=%llu c=%llu cm=%llu\n",
-                (unsigned long long)seq_, opClassName(ti.op), slice,
-                (unsigned long long)fetch_cycle,
-                (unsigned long long)dispatch,
-                (unsigned long long)std::max(src_ready, src2_ready),
-                (unsigned long long)complete,
-                (unsigned long long)commit);
-        }
-    }
 }
 
 std::size_t
@@ -562,6 +539,7 @@ VCoreSim::step(InstSource &src, std::size_t max_instructions)
     }
     done_ = src.exhausted();
     stats_.cycles = lastCommit_;
+    stats_.operandNetworkStalls = operandNet_.stats().injectionStalls;
     return n;
 }
 

@@ -10,7 +10,7 @@ namespace sharch::engine {
 
 AllocationEngine::AllocationEngine(UtilityOptimizer &opt,
                                    const EngineConfig &cfg)
-    : EngineBase(cfg.maxPending), opt_(&opt), cfg_(cfg),
+    : EngineBase(kDefaultMaxPending), opt_(&opt), cfg_(cfg),
       fabric_(cfg.fabricWidth, cfg.fabricHeight),
       market_(opt, fabric_.totalSlices(), fabric_.totalBanks())
 {
@@ -170,15 +170,7 @@ AllocationEngine::handleFault(const Event &e)
         // A market needs something to sell; leave prices be.
         return;
     }
-    if (cfg_.reauctionOnFault) {
-        ReauctionResult r = market_.reauctionAfterFailure(
-            slicesLost, banksLost, cfg_.tolerance, cfg_.maxRounds,
-            cfg_.adjustRate);
-        stats_.refundsPaid += r.refundTotal;
-        stats_.auctionRounds += r.rounds.size();
-    } else {
-        market_.reduceCapacity(slicesLost, banksLost);
-    }
+    market_.reduceCapacity(slicesLost, banksLost);
 }
 
 void
@@ -209,8 +201,7 @@ AllocationEngine::handleHeal(const Event &e)
 void
 AllocationEngine::handleEpoch()
 {
-    std::vector<SpotRound> rounds = market_.runToClearing(
-        cfg_.tolerance, cfg_.maxRounds, cfg_.adjustRate);
+    const std::vector<SpotRound> rounds = market_.runToClearing();
     stats_.epochs++;
     stats_.auctionRounds += rounds.size();
     lastOutcome_.applied = true;

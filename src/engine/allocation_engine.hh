@@ -39,23 +39,15 @@
 
 namespace sharch::engine {
 
-/** Fixed parameters of one engine (not part of mutable state). */
+/**
+ * Fixed parameters of one engine (not part of mutable state).  The
+ * auction runs SpotMarket::runToClearing()'s defaults and the queue
+ * holds kDefaultMaxPending events.
+ */
 struct EngineConfig
 {
     int fabricWidth = 8;
     int fabricHeight = 8;
-    double tolerance = 0.10;   //!< auction clearing tolerance
-    unsigned maxRounds = 50;   //!< tatonnement bound per epoch
-    double adjustRate = 0.25;  //!< price step per round
-    /**
-     * When a fault removes leasable capacity, also refund the lost
-     * value pro-rata and re-run the auction (SpotMarket::
-     * reauctionAfterFailure).  Off: capacity just shrinks and the
-     * next AuctionEpoch reprices.
-     */
-    bool reauctionOnFault = false;
-    /** Pending-event bound: posts past it are refused (0: default). */
-    std::size_t maxPending = kDefaultMaxPending;
 };
 
 /** One admitted tenant: fabric claim + market identity. */

@@ -57,6 +57,8 @@ struct EngineStats
     std::uint64_t auctionRounds = 0;
     std::uint64_t checkpoints = 0;
     Cycles reconfigCycles = 0;     //!< degradation + reshape costs
+    /** No engine refunds a fault any more; kept (always 0) so the
+     *  state document and report keep their fields. */
     double refundsPaid = 0.0;
 };
 

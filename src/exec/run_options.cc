@@ -170,7 +170,7 @@ runUsage(const std::string &prog)
            "1,2,4,8 or 1-8);\n"
            "  giving a list sweeps the cross product in parallel "
            "(--threads workers,\n"
-           "  default SHARCH_THREADS or hardware concurrency).\n"
+           "  default hardware concurrency).\n"
            "  --inject-faults replays a fault schedule against the "
            "fabric allocator\n"
            "  (spec: seed=N,mtbf=N,count=N[,mttr=N] or fixed "
@@ -401,10 +401,8 @@ parseBenchOptions(int argc, const char *const *argv)
     }
     if (shared.instructionsSet)
         opts.instructions = shared.instructions;
-    if (shared.seedSet) {
+    if (shared.seedSet)
         opts.seed = shared.seed;
-        opts.seedSet = true;
-    }
     if (shared.threads != 0)
         opts.threads = shared.threads;
     if (shared.sampleSet) {

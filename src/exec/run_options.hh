@@ -10,8 +10,8 @@
  *   --slices LIST       Slice counts, e.g. `4`, `1,2,4,8`, or `1-8`
  *   --banks LIST        64 KB L2 bank counts, e.g. `0,2,128`
  *   --seed N            base seed
- *   --threads N         sweep worker threads (default SHARCH_THREADS,
- *                       else hardware concurrency)
+ *   --threads N         sweep worker threads (default hardware
+ *                       concurrency)
  *   --inject-faults S   fault-injection spec (see fault/fault_model.hh)
  *   --fabric WxH        chip geometry for fault replay (default 8x8)
  *   --json              machine-readable output
@@ -126,12 +126,10 @@ std::string runUsage(const std::string &prog);
  *   --format FMT        text | csv | json (default text)
  *   --out DIR           write one report file per study into DIR
  *                       instead of stdout
- *   --instructions N    trace length per thread
- *                       (default SHARCH_BENCH_INSTRUCTIONS or 40000)
- *   --seed N            base generation seed
- *                       (default SHARCH_BENCH_SEED or 1)
- *   --threads N         sweep worker threads (default SHARCH_THREADS,
- *                       else hardware concurrency)
+ *   --instructions N    trace length per thread (default 40000)
+ *   --seed N            base generation seed (default 1)
+ *   --threads N         sweep worker threads (default hardware
+ *                       concurrency)
  *   --metrics-out DIR   write one <study>.metrics.json per study
  *   --trace-out FILE    write a Chrome trace-event JSON timeline
  *
@@ -144,9 +142,8 @@ struct BenchOptions
     std::vector<std::string> patterns; //!< study-name globs to run
     std::string format = "text";
     std::string outDir;                //!< empty: stdout
-    std::size_t instructions = 0;      //!< 0: environment default
-    std::uint64_t seed = 0;
-    bool seedSet = false;              //!< --seed given
+    std::size_t instructions = 40000;  //!< per thread
+    std::uint64_t seed = 1;
     unsigned threads = 0;              //!< 0: resolveThreadCount()
     SampleSchedule sample;             //!< --sample schedule
     bool sampleSet = false;            //!< --sample given (else full)

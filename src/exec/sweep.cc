@@ -1,6 +1,6 @@
 #include "exec/sweep.hh"
 
-#include <cstdlib>
+#include <exception>
 #include <map>
 #include <thread>
 #include <tuple>
@@ -19,8 +19,6 @@ struct ExecMetrics
 {
     obs::MetricId jobs =
         obs::MetricsRegistry::instance().addCounter("exec.jobs");
-    obs::MetricId retries =
-        obs::MetricsRegistry::instance().addCounter("exec.retries");
     obs::MetricId failures =
         obs::MetricsRegistry::instance().addCounter("exec.failures");
 };
@@ -116,30 +114,11 @@ deriveJobSeed(std::uint64_t base_seed, const std::string &benchmark,
     return h ? h : 0x5eed5eedULL;
 }
 
-std::uint64_t
-deriveRetrySeed(std::uint64_t base_seed, const std::string &benchmark,
-                unsigned banks, unsigned slices, unsigned attempt)
-{
-    const std::uint64_t h =
-        deriveJobSeed(base_seed, benchmark, banks, slices);
-    if (attempt == 0)
-        return h; // first attempt == the historical job seed
-    const std::uint64_t r = mix64(h ^ mix64(attempt));
-    return r ? r : 0x5eed5eedULL;
-}
-
 unsigned
 resolveThreadCount(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("SHARCH_THREADS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
-        SHARCH_WARN("ignoring malformed SHARCH_THREADS='", env, "'");
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -149,18 +128,30 @@ SweepRunner::SweepRunner(unsigned threads)
 {
 }
 
-std::vector<PointStatus>
-SweepRunner::runDetailed(const std::vector<SweepPoint> &points,
-                         const RetryingEvaluator &eval,
-                         unsigned max_attempts,
-                         std::vector<std::exception_ptr> *errors) const
+namespace {
+
+/** what() of a captured failure, for the sweep's warning line. */
+std::string
+describe(const std::exception_ptr &error)
 {
-    SHARCH_ASSERT(max_attempts >= 1, "a point needs >= 1 attempt");
-    std::vector<PointStatus> status(points.size());
-    if (errors)
-        errors->assign(points.size(), nullptr);
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+} // namespace
+
+std::vector<double>
+SweepRunner::run(const std::vector<SweepPoint> &points,
+                 const PointEvaluator &eval) const
+{
+    std::vector<double> results(points.size(), 0.0);
     if (points.empty())
-        return status;
+        return results;
 
     // Evaluate each distinct configuration once; `unique` maps a
     // config to the first index holding it.
@@ -174,35 +165,22 @@ SweepRunner::runDetailed(const std::vector<SweepPoint> &points,
         canonical[i] = unique.emplace(key, i).first->second;
     }
 
+    std::vector<std::exception_ptr> errors(points.size());
     {
         ThreadPool pool(threads_);
         for (const auto &[key, i] : unique) {
             (void)key;
             // Each job writes only its own slots, so no lock is
-            // needed; the retry loop catches everything so a bad
-            // point can never unwind a worker or starve the queue.
+            // needed; catching everything means a bad point can never
+            // unwind a worker or starve the queue.
             pool.submit([&, i] {
-                PointStatus &st = status[i];
 #if SHARCH_OBS
                 const std::uint64_t job_t0 = obs::nowMicros();
 #endif
-                for (unsigned attempt = 0; attempt < max_attempts;
-                     ++attempt) {
-                    ++st.attempts;
-                    try {
-                        st.value = eval(points[i], attempt);
-                        st.ok = true;
-                        st.error.clear();
-                        break;
-                    } catch (const std::exception &e) {
-                        st.error = e.what();
-                        if (errors)
-                            (*errors)[i] = std::current_exception();
-                    } catch (...) {
-                        st.error = "unknown exception";
-                        if (errors)
-                            (*errors)[i] = std::current_exception();
-                    }
+                try {
+                    results[i] = eval(points[i]);
+                } catch (...) {
+                    errors[i] = std::current_exception();
                 }
 #if SHARCH_OBS
                 if (obs::enabled()) {
@@ -210,16 +188,13 @@ SweepRunner::runDetailed(const std::vector<SweepPoint> &points,
                     auto &tracer = obs::Tracer::instance();
                     const ExecMetrics &m = execMetrics();
                     reg.add(m.jobs);
-                    if (st.attempts > 1)
-                        reg.add(m.retries, st.attempts - 1);
-                    if (!st.ok)
+                    if (errors[i])
                         reg.add(m.failures);
                     tracer.record(
                         {tracer.intern(points[i].profile.name),
                          "exec", job_t0, obs::nowMicros(),
                          obs::kPidExec,
-                         tracer.threadTrackId(obs::kPidExec),
-                         st.attempts, "attempts"});
+                         tracer.threadTrackId(obs::kPidExec)});
                 }
 #endif
             });
@@ -227,47 +202,19 @@ SweepRunner::runDetailed(const std::vector<SweepPoint> &points,
         pool.wait();
     }
 
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        status[i] = status[canonical[i]];
-        if (errors)
-            (*errors)[i] = (*errors)[canonical[i]];
-    }
-    return status;
-}
-
-std::vector<PointStatus>
-SweepRunner::runWithStatus(const std::vector<SweepPoint> &points,
-                           const RetryingEvaluator &eval,
-                           unsigned max_attempts) const
-{
-    return runDetailed(points, eval, max_attempts, nullptr);
-}
-
-std::vector<double>
-SweepRunner::run(const std::vector<SweepPoint> &points,
-                 const PointEvaluator &eval) const
-{
-    std::vector<std::exception_ptr> errors;
-    const auto status = runDetailed(
-        points,
-        [&eval](const SweepPoint &p, unsigned) { return eval(p); },
-        1, &errors);
-
     // Drain-then-throw: every point ran; surface the first failure by
     // *input position* so the choice is independent of thread count
     // and completion order.
-    for (std::size_t i = 0; i < status.size(); ++i) {
-        if (!status[i].ok) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::size_t c = canonical[i];
+        if (errors[c]) {
             SHARCH_WARN("sweep point ", points[i].profile.name, " b",
                         points[i].banks, " s", points[i].slices,
-                        " failed: ", status[i].error);
-            std::rethrow_exception(errors[i]);
+                        " failed: ", describe(errors[c]));
+            std::rethrow_exception(errors[c]);
         }
+        results[i] = results[c];
     }
-
-    std::vector<double> results(points.size(), 0.0);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        results[i] = status[i].value;
     return results;
 }
 

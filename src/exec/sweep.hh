@@ -19,7 +19,6 @@
 #define SHARCH_EXEC_SWEEP_HH
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -86,44 +85,13 @@ std::uint64_t deriveJobSeed(std::uint64_t base_seed,
                             unsigned banks, unsigned slices);
 
 /**
- * Seed for retry @p attempt of a point.  Attempt 0 is exactly
- * deriveJobSeed() (a sweep that never retries is bit-identical to one
- * run through the retry machinery); each further attempt mixes the
- * attempt number in, so a flaky evaluator re-runs on a fresh,
- * deterministic stream rather than replaying the failing one.
- */
-std::uint64_t deriveRetrySeed(std::uint64_t base_seed,
-                              const std::string &benchmark,
-                              unsigned banks, unsigned slices,
-                              unsigned attempt);
-
-/**
- * Worker count for sweeps: @p requested if nonzero, else the
- * SHARCH_THREADS environment variable, else
+ * Worker count for sweeps: @p requested if nonzero, else
  * std::thread::hardware_concurrency() (at least 1).
  */
 unsigned resolveThreadCount(unsigned requested = 0);
 
 /** Evaluates one SweepPoint to its IPC; must be thread-safe. */
 using PointEvaluator = std::function<double(const SweepPoint &)>;
-
-/**
- * Evaluator that is retried on throw: @p attempt is 0 for the first
- * try, 1 for the first retry, and so on.  Pair it with
- * deriveRetrySeed() so every attempt runs a fresh deterministic
- * stream.  Must be thread-safe.
- */
-using RetryingEvaluator =
-    std::function<double(const SweepPoint &, unsigned attempt)>;
-
-/** Outcome of one sweep point under runWithStatus(). */
-struct PointStatus
-{
-    double value = 0.0;    //!< IPC when ok, 0.0 otherwise
-    bool ok = false;
-    unsigned attempts = 0; //!< evaluator invocations consumed
-    std::string error;     //!< what() of the last failure, "" when ok
-};
 
 /**
  * Runs batches of sweep jobs on a fixed thread pool.
@@ -135,8 +103,7 @@ struct PointStatus
  * Failure safety: a throwing evaluator never aborts the batch.  The
  * remaining points still run to completion; run() then rethrows the
  * first failure *in input-point order* (not completion order, which
- * would be racy), while runWithStatus() reports every point's outcome
- * and never throws for evaluator failures.
+ * would be racy).
  */
 class SweepRunner
 {
@@ -156,23 +123,7 @@ class SweepRunner
     std::vector<double> run(const std::vector<SweepPoint> &points,
                             const PointEvaluator &eval) const;
 
-    /**
-     * Evaluate @p eval over @p points with up to @p max_attempts
-     * tries per point (fresh attempt number each try -- see
-     * deriveRetrySeed()).  Never throws for evaluator failures:
-     * status i records points[i]'s value or its last error.
-     */
-    std::vector<PointStatus>
-    runWithStatus(const std::vector<SweepPoint> &points,
-                  const RetryingEvaluator &eval,
-                  unsigned max_attempts = 1) const;
-
   private:
-    std::vector<PointStatus>
-    runDetailed(const std::vector<SweepPoint> &points,
-                const RetryingEvaluator &eval, unsigned max_attempts,
-                std::vector<std::exception_ptr> *errors) const;
-
     unsigned threads_;
 };
 

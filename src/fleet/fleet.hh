@@ -38,15 +38,12 @@
 
 namespace sharch::fleet {
 
-/** Fixed fleet geometry and per-chip auction policy. */
+/** Fixed fleet geometry. */
 struct FleetConfig
 {
     ChipId chips = 1024;       //!< chips in the fleet
     int chipWidth = 8;         //!< tiles per chip row
     int chipHeight = 8;        //!< rows per chip (>= 2)
-    double tolerance = 0.10;   //!< per-chip auction clearing band
-    unsigned maxRounds = 12;   //!< tatonnement bound per chip epoch
-    double adjustRate = 0.25;  //!< price step per round
 };
 
 /** A chip's occupancy as epoch samples read it. */

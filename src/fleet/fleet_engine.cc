@@ -11,6 +11,15 @@ namespace sharch::fleet {
 using engine::Event;
 using engine::EventKind;
 
+namespace {
+
+/** Tatonnement bound per dirty chip: one fleet epoch clears many
+ *  chips, so each gets fewer rounds than a single chip's
+ *  kClearingRounds. */
+constexpr unsigned kChipEpochRounds = 12;
+
+} // namespace
+
 FleetEngine::FleetEngine(UtilityOptimizer &opt,
                          const FleetEngineConfig &cfg)
     : EngineBase(cfg.maxPending),
@@ -262,9 +271,9 @@ FleetEngine::handleEpochAuction()
     // keeps the pass deterministic.
     for (ChipId id : dirty_) {
         Chip &c = fleet_.chip(id);
-        const std::vector<SpotRound> rounds = c.market.runToClearing(
-            cfg_.fleet.tolerance, cfg_.fleet.maxRounds,
-            cfg_.fleet.adjustRate);
+        const std::vector<SpotRound> rounds =
+            c.market.runToClearing(kClearingTolerance,
+                                   kChipEpochRounds);
         stats_.auctionRounds += rounds.size();
     }
     dirty_.clear();
@@ -306,8 +315,8 @@ FleetEngine::handleFault(const Event &e)
     lastOutcome_.actions = acts;
     degradeBookkeeping(chip, acts);
 
-    // Capacity leaves the chip's market (mirroring the single-chip
-    // engine, minus its optional re-auction refinement).
+    // Capacity leaves the chip's market, as in the single-chip
+    // engine.
     Chip &c = fleet_.chip(chip);
     const double slicesLost =
         e.fault == fault::FaultKind::Slice ? 1.0 : 0.0;
@@ -352,9 +361,7 @@ FleetEngine::degradeBookkeeping(
         FleetLease lease = it->second;
         dropLease(it);
         const std::optional<Placement> rehome =
-            cfg_.replaceEvicted
-                ? fleet_.place(lease.slices, lease.banks)
-                : std::nullopt;
+            fleet_.place(lease.slices, lease.banks);
         if (!rehome) {
             stats_.evictions++;
             continue;

@@ -53,9 +53,8 @@ namespace sharch::fleet {
 /** Fixed parameters of one fleet engine (not mutable state). */
 struct FleetEngineConfig
 {
-    FleetConfig fleet;            //!< chips, geometry, auction policy
+    FleetConfig fleet;            //!< chips and geometry
     Cycles epochPeriod = 50000;   //!< cycles between EpochAuctions
-    bool replaceEvicted = true;   //!< fleet-level re-place on fault
     /** Pending-event bound: posts past it are refused (0: default). */
     std::size_t maxPending = engine::kDefaultMaxPending;
 };

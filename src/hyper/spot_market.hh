@@ -95,6 +95,12 @@ struct SpotMarketSnapshot
     std::vector<SpotCustomer> customers; //!< index == CustomerId
 };
 
+/** Default clearing policy: excess-demand band, tatonnement bound
+ *  (one chip's epoch) and price step per round. */
+inline constexpr double kClearingTolerance = 0.10;
+inline constexpr unsigned kClearingRounds = 50;
+inline constexpr double kPriceAdjustRate = 0.25;
+
 /** Dynamic sub-core pricing over a fixed-capacity fabric. */
 class SpotMarket
 {
@@ -152,15 +158,16 @@ class SpotMarket
      * Run one tatonnement round: collect bids at current prices, then
      * move each price by `adjust_rate * excess demand` (bounded).
      */
-    SpotRound step(double adjust_rate = 0.25);
+    SpotRound step(double adjust_rate = kPriceAdjustRate);
 
     /**
      * Iterate until both excess demands are within @p tolerance or
      * @p max_rounds elapse.  @return the full round history.
      */
-    std::vector<SpotRound> runToClearing(double tolerance = 0.10,
-                                         unsigned max_rounds = 50,
-                                         double adjust_rate = 0.25);
+    std::vector<SpotRound>
+    runToClearing(double tolerance = kClearingTolerance,
+                  unsigned max_rounds = kClearingRounds,
+                  double adjust_rate = kPriceAdjustRate);
 
     /**
      * React to the fabric losing @p slices_lost Slices and
@@ -171,11 +178,11 @@ class SpotMarket
      * auction to a new clearing.  refundTotal is exactly
      * slices_lost * slicePrice + banks_lost * bankPrice.
      */
-    ReauctionResult reauctionAfterFailure(double slices_lost,
-                                          double banks_lost,
-                                          double tolerance = 0.10,
-                                          unsigned max_rounds = 50,
-                                          double adjust_rate = 0.25);
+    ReauctionResult
+    reauctionAfterFailure(double slices_lost, double banks_lost,
+                          double tolerance = kClearingTolerance,
+                          unsigned max_rounds = kClearingRounds,
+                          double adjust_rate = kPriceAdjustRate);
 
     /** Capture the full market state for a checkpoint. */
     SpotMarketSnapshot snapshot() const;

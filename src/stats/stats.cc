@@ -112,29 +112,8 @@ void
 SimStats::merge(const SimStats &other)
 {
     cycles = std::max(cycles, other.cycles);
-    instructionsCommitted += other.instructionsCommitted;
-    instructionsFetched += other.instructionsFetched;
-    squashedInstructions += other.squashedInstructions;
-    branches += other.branches;
-    branchMispredicts += other.branchMispredicts;
-    loads += other.loads;
-    stores += other.stores;
-    lsqViolations += other.lsqViolations;
-    l1dAccesses += other.l1dAccesses;
-    l1dMisses += other.l1dMisses;
-    l1iAccesses += other.l1iAccesses;
-    l1iMisses += other.l1iMisses;
-    l2Accesses += other.l2Accesses;
-    l2Misses += other.l2Misses;
-    coherenceInvalidations += other.coherenceInvalidations;
-    operandRequests += other.operandRequests;
-    operandReplies += other.operandReplies;
-    operandNetworkHops += other.operandNetworkHops;
-    operandNetworkStalls += other.operandNetworkStalls;
-    renameBroadcasts += other.renameBroadcasts;
-    sumOperandWait += other.sumOperandWait;
-    sumIssueWait += other.sumIssueWait;
-    sumExecLatency += other.sumExecLatency;
+    for (Count SimStats::*c : kCounters)
+        this->*c += other.*c;
     for (std::size_t i = 0; i < stallCycles.size(); ++i)
         stallCycles[i] += other.stallCycles[i];
     if (other.sampling.active) {

@@ -153,6 +153,37 @@ struct SimStats
     /** Sampled-run provenance; inactive for full detailed runs. */
     SamplingInfo sampling;
 
+    /**
+     * Every summed counter, in declaration order.  merge() and the
+     * sampling arithmetic walk this list; cycles and stallCycles keep
+     * their own lines.
+     */
+    static constexpr std::array<Count SimStats::*, 23> kCounters{
+        &SimStats::instructionsCommitted,
+        &SimStats::instructionsFetched,
+        &SimStats::squashedInstructions,
+        &SimStats::branches,
+        &SimStats::branchMispredicts,
+        &SimStats::loads,
+        &SimStats::stores,
+        &SimStats::lsqViolations,
+        &SimStats::l1dAccesses,
+        &SimStats::l1dMisses,
+        &SimStats::l1iAccesses,
+        &SimStats::l1iMisses,
+        &SimStats::l2Accesses,
+        &SimStats::l2Misses,
+        &SimStats::coherenceInvalidations,
+        &SimStats::operandRequests,
+        &SimStats::operandReplies,
+        &SimStats::operandNetworkHops,
+        &SimStats::operandNetworkStalls,
+        &SimStats::renameBroadcasts,
+        &SimStats::sumOperandWait,
+        &SimStats::sumIssueWait,
+        &SimStats::sumExecLatency,
+    };
+
     void addStall(Stage s, Count by = 1)
     { stallCycles[static_cast<std::size_t>(s)] += by; }
 

@@ -1,51 +1,11 @@
 #include "study/surface.hh"
 
 #include <chrono>
-#include <cstdlib>
 
-#include "common/logging.hh"
 #include "config/sim_config.hh"
-#include "exec/run_options.hh"
 #include "trace/profile.hh"
 
 namespace sharch::study {
-
-namespace {
-
-/**
- * Read an environment count through the same strict parser the CLI
- * uses; @p zero_ok distinguishes seeds (0 is a value) from instruction
- * counts (0 would simulate nothing).
- */
-std::uint64_t
-envCount(const char *name, std::uint64_t fallback, bool zero_ok)
-{
-    const char *env = std::getenv(name);
-    if (!env || *env == '\0')
-        return fallback;
-    std::uint64_t v = 0;
-    if (!exec::parseU64(env, &v) || (!zero_ok && v == 0)) {
-        SHARCH_WARN(name, "='", env, "' is not a valid count; using ",
-                    fallback);
-        return fallback;
-    }
-    return v;
-}
-
-} // namespace
-
-std::size_t
-envInstructions(std::size_t fallback)
-{
-    return static_cast<std::size_t>(
-        envCount("SHARCH_BENCH_INSTRUCTIONS", fallback, false));
-}
-
-std::uint64_t
-envSeed(std::uint64_t fallback)
-{
-    return envCount("SHARCH_BENCH_SEED", fallback, true);
-}
 
 void
 enableSharedDiskCache(PerfModel &pm)

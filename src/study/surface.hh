@@ -8,16 +8,8 @@
  * All studies sweep the same surface P(c, s); the CSV cache in the
  * working directory lets successive runs share simulation results, so
  * the first run pays for a configuration and the rest reuse it.
- *
- * Environment:
- *   SHARCH_BENCH_INSTRUCTIONS  trace length per thread (default 40000)
- *   SHARCH_BENCH_SEED          generation seed (default 1)
- *   SHARCH_THREADS             sweep worker threads (default: hardware
- *                              concurrency); results are bit-identical
- *                              for any value, including 1
- *
- * Malformed values warn and fall back to the default -- they are never
- * silently read as 0 (the old strtoull behavior).
+ * Trace length, seed and worker count come from the callers' flags;
+ * results are bit-identical for any worker count, including 1.
  */
 
 #ifndef SHARCH_STUDY_SURFACE_HH
@@ -34,15 +26,6 @@ namespace sharch::study {
 
 /** The disk-cache file every study run shares (cwd-relative). */
 inline constexpr const char *kPerfCachePath = "sharch_perf_cache.csv";
-
-/**
- * SHARCH_BENCH_INSTRUCTIONS, validated like RunOptions validates
- * --instructions: garbage or zero warns and returns the default.
- */
-std::size_t envInstructions(std::size_t fallback = 40000);
-
-/** SHARCH_BENCH_SEED, validated; garbage warns and returns default. */
-std::uint64_t envSeed(std::uint64_t fallback = 1);
 
 /** Point @p pm at the shared CSV cache (kPerfCachePath). */
 void enableSharedDiskCache(PerfModel &pm);

@@ -96,6 +96,7 @@ TEST(VCoreSim, SingleSliceHasNoSonTraffic)
 {
     const VmResult r = runOnce("gcc", 2, 1);
     EXPECT_EQ(r.aggregate.operandRequests, 0u);
+    EXPECT_EQ(r.aggregate.operandNetworkStalls, 0u);
     EXPECT_EQ(r.aggregate.renameBroadcasts, 0u);
 }
 
@@ -104,6 +105,8 @@ TEST(VCoreSim, MultiSliceUsesTheSon)
     const VmResult r = runOnce("gcc", 2, 4);
     EXPECT_GT(r.aggregate.operandRequests, 0u);
     EXPECT_EQ(r.aggregate.operandRequests, r.aggregate.operandReplies);
+    // Slices contend for injection ports, and the wait is reported.
+    EXPECT_GT(r.aggregate.operandNetworkStalls, 0u);
     EXPECT_GT(r.aggregate.renameBroadcasts, 0u);
 }
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <initializer_list>
 #include <filesystem>
 #include <fstream>
@@ -100,15 +99,6 @@ TEST(Threads, RequestedCountWins)
 {
     EXPECT_EQ(resolveThreadCount(3), 3u);
     EXPECT_GE(resolveThreadCount(0), 1u);
-}
-
-TEST(Threads, EnvControlsDefault)
-{
-    ::setenv("SHARCH_THREADS", "5", 1);
-    EXPECT_EQ(resolveThreadCount(), 5u);
-    ::setenv("SHARCH_THREADS", "zero", 1);
-    EXPECT_GE(resolveThreadCount(), 1u); // malformed: fall through
-    ::unsetenv("SHARCH_THREADS");
 }
 
 TEST(SweepGrid, RowMajorOrderAndHelpers)
@@ -388,7 +378,6 @@ TEST(BenchParse, ListRunAndFormats)
     EXPECT_EQ(o.format, "json");
     EXPECT_EQ(o.outDir, "reports");
     EXPECT_EQ(o.instructions, 2000u);
-    EXPECT_TRUE(o.seedSet);
     EXPECT_EQ(o.seed, 7u);
     EXPECT_EQ(o.threads, 2u);
 
@@ -500,86 +489,6 @@ TEST(SweepRunner, ThrowingEvaluatorCompletesRemainingPoints)
             std::runtime_error);
         EXPECT_EQ(evals.load(), static_cast<int>(points.size()));
     }
-}
-
-TEST(SweepRunner, RunWithStatusReportsEveryPoint)
-{
-    const auto points =
-        sweepGrid({std::string("gcc")}, {0, 2}, sliceRange(2));
-    SweepRunner runner(2);
-    const auto status = runner.runWithStatus(
-        points, [](const SweepPoint &pt, unsigned) {
-            if (pt.slices == 2)
-                throw std::runtime_error("slice-2 is cursed");
-            return pt.banks + 0.5;
-        });
-    ASSERT_EQ(status.size(), points.size());
-    for (std::size_t i = 0; i < status.size(); ++i) {
-        if (points[i].slices == 2) {
-            EXPECT_FALSE(status[i].ok);
-            EXPECT_EQ(status[i].error, "slice-2 is cursed");
-            EXPECT_EQ(status[i].attempts, 1u);
-        } else {
-            EXPECT_TRUE(status[i].ok);
-            EXPECT_EQ(status[i].error, "");
-            EXPECT_DOUBLE_EQ(status[i].value, points[i].banks + 0.5);
-        }
-    }
-}
-
-TEST(SweepRunner, RetrySucceedsOnSecondAttempt)
-{
-    const auto points =
-        sweepGrid({std::string("mcf")}, {0}, sliceRange(2));
-    SweepRunner runner(2);
-    const auto status = runner.runWithStatus(
-        points,
-        [](const SweepPoint &pt, unsigned attempt) {
-            if (pt.slices == 1 && attempt == 0)
-                throw std::runtime_error("transient");
-            return 7.0 + attempt;
-        },
-        3);
-    ASSERT_EQ(status.size(), 2u);
-    EXPECT_TRUE(status[0].ok);
-    EXPECT_EQ(status[0].attempts, 2u); // failed once, then recovered
-    EXPECT_DOUBLE_EQ(status[0].value, 8.0);
-    EXPECT_TRUE(status[1].ok);
-    EXPECT_EQ(status[1].attempts, 1u);
-    EXPECT_DOUBLE_EQ(status[1].value, 7.0);
-}
-
-TEST(SweepRunner, RetryExhaustionKeepsLastError)
-{
-    const auto points =
-        sweepGrid({std::string("mcf")}, {0}, sliceRange(1));
-    SweepRunner runner(1);
-    const auto status = runner.runWithStatus(
-        points,
-        [](const SweepPoint &, unsigned attempt) -> double {
-            throw std::runtime_error("attempt " +
-                                     std::to_string(attempt));
-        },
-        3);
-    ASSERT_EQ(status.size(), 1u);
-    EXPECT_FALSE(status[0].ok);
-    EXPECT_EQ(status[0].attempts, 3u);
-    EXPECT_EQ(status[0].error, "attempt 2"); // the last failure
-    EXPECT_DOUBLE_EQ(status[0].value, 0.0);
-}
-
-TEST(RetrySeed, FirstAttemptMatchesJobSeed)
-{
-    // Attempt 0 must be the historical seed, so a retry-capable sweep
-    // that never actually retries stays bit-identical.
-    EXPECT_EQ(deriveRetrySeed(1, "gcc", 2, 4, 0),
-              deriveJobSeed(1, "gcc", 2, 4));
-    std::set<std::uint64_t> seeds;
-    for (unsigned attempt = 0; attempt < 8; ++attempt)
-        seeds.insert(deriveRetrySeed(1, "gcc", 2, 4, attempt));
-    EXPECT_EQ(seeds.size(), 8u); // each retry gets a fresh stream
-    EXPECT_NE(deriveRetrySeed(1, "gcc", 2, 4, 1),
-              deriveRetrySeed(1, "mcf", 2, 4, 1));
 }
 
 TEST(CliParse, RangeSyntaxAndBounds)

@@ -4,6 +4,7 @@
  * SimStats derived rates, merging, and reporting.
  */
 
+#include <cstddef>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -121,6 +122,21 @@ TEST(SimStats, MergeTakesMaxCyclesAndSumsCounts)
     EXPECT_EQ(a.instructionsCommitted, 30u);
     EXPECT_EQ(a.loads, 10u);
     EXPECT_EQ(a.stall(Stage::Issue), 7u);
+
+    // merge() and the sampling arithmetic sum kCounters, so the list
+    // must hold every Count between cycles and stallCycles, in
+    // declaration order: a counter left out of it leaves a gap here.
+    const SimStats s;
+    const auto offset = [&s](const void *field) {
+        return static_cast<const char *>(field) -
+               reinterpret_cast<const char *>(&s);
+    };
+    std::ptrdiff_t next = offset(&s.cycles) + sizeof(s.cycles);
+    for (Count SimStats::*c : SimStats::kCounters) {
+        EXPECT_EQ(offset(&(s.*c)), next);
+        next += sizeof(Count);
+    }
+    EXPECT_EQ(next, offset(&s.stallCycles));
 }
 
 TEST(SimStats, ReportMentionsKeyFields)
@@ -197,8 +213,7 @@ TEST(SimStats, ToJsonMatchesGoldenFile)
     // document verbatim, so a silent rename or reordering here is a
     // schema break for every downstream consumer.  To regenerate
     // after an *intentional* change:
-    //   build/tests/test_stats \
-    //       --gtest_filter=SimStats.ToJsonMatchesGoldenFile
+    //   build/tests/test_stats --gtest_filter=SimStats.ToJsonMatchesGoldenFile
     // and copy the "actual" line from the failure message into
     // tests/golden/simstats.json (no trailing newline).
     std::ifstream in(std::string(SHARCH_TEST_DATA_DIR) +

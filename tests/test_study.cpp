@@ -1,14 +1,12 @@
 /**
  * @file
  * The study engine: registry contents, renderer agreement, the
- * JSON determinism contract across worker-thread counts, golden
- * report stability, and the environment-variable validation that
- * replaced the silent-zero strtoull parsing.
+ * JSON determinism contract across worker-thread counts, and golden
+ * report stability.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -192,31 +190,6 @@ TEST(StudyEngine, GoldenTab1Report)
         << "tab1 drifted from the committed golden report; if the "
            "change is intentional, regenerate with: sharch-bench "
            "--run tab1 --instructions 2000 --seed 1 --format json";
-}
-
-TEST(Surface, EnvCountsValidateInsteadOfSilentZero)
-{
-    // Garbage and zero must warn and fall back, never parse as 0.
-    ::setenv("SHARCH_BENCH_INSTRUCTIONS", "garbage", 1);
-    EXPECT_EQ(envInstructions(1234), 1234u);
-    ::setenv("SHARCH_BENCH_INSTRUCTIONS", "12k", 1);
-    EXPECT_EQ(envInstructions(1234), 1234u);
-    ::setenv("SHARCH_BENCH_INSTRUCTIONS", "0", 1);
-    EXPECT_EQ(envInstructions(1234), 1234u);
-    ::setenv("SHARCH_BENCH_INSTRUCTIONS", "5000", 1);
-    EXPECT_EQ(envInstructions(1234), 5000u);
-    ::unsetenv("SHARCH_BENCH_INSTRUCTIONS");
-    EXPECT_EQ(envInstructions(1234), 1234u);
-
-    ::setenv("SHARCH_BENCH_SEED", "not-a-seed", 1);
-    EXPECT_EQ(envSeed(9), 9u);
-    // Seed 0 is a legal seed, unlike an instruction count of 0.
-    ::setenv("SHARCH_BENCH_SEED", "0", 1);
-    EXPECT_EQ(envSeed(9), 0u);
-    ::setenv("SHARCH_BENCH_SEED", "77", 1);
-    EXPECT_EQ(envSeed(9), 77u);
-    ::unsetenv("SHARCH_BENCH_SEED");
-    EXPECT_EQ(envSeed(9), 9u);
 }
 
 TEST(StudyEngine, UnionGridConcatenatesSelectionOrder)

@@ -6,10 +6,8 @@
  * multithreaded / phase variants.
  */
 
-#include <filesystem>
 #include <map>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -18,7 +16,6 @@
 #include "trace/generator.hh"
 #include "trace/instruction.hh"
 #include "trace/profile.hh"
-#include "trace/trace_io.hh"
 
 using namespace sharch;
 
@@ -321,120 +318,3 @@ TEST_P(AllProfiles, GeneratesWellFormedTraces)
 
 INSTANTIATE_TEST_SUITE_P(EveryBenchmark, AllProfiles,
                          ::testing::ValuesIn(benchmarkNames()));
-
-// ---- trace file I/O --------------------------------------------------
-
-/** The packed record layout must not cost any field its full range:
- *  every field at its extremes survives a trace_io round trip. */
-TEST(TraceIo, PackedLayoutRoundTripsFieldExtremes)
-{
-    // Replay bandwidth scales with the record size; the layout is
-    // pinned (also via static_assert in instruction.hh).
-    EXPECT_EQ(sizeof(TraceInst), 32u);
-
-    Trace t;
-    t.benchmark = "layout";
-    t.threadId = 3;
-    const Addr max64 = ~Addr{0};
-    const RegIndex maxReg = 0xfffe; // kNoReg - 1
-    const OpClass ops[] = {OpClass::IntAlu, OpClass::IntMul,
-                           OpClass::Load, OpClass::Store,
-                           OpClass::Branch};
-    for (OpClass op : ops) {
-        for (bool extremes : {false, true}) {
-            TraceInst ti;
-            ti.op = op;
-            ti.pc = extremes ? max64 : 0;
-            ti.effAddr = extremes ? max64 : 0;
-            ti.target = extremes ? max64 : 0;
-            ti.src1 = extremes ? maxReg : kNoReg;
-            ti.src2 = extremes ? RegIndex{0} : kNoReg;
-            ti.dst = extremes ? maxReg : kNoReg;
-            ti.taken = extremes;
-            t.instructions.push_back(ti);
-        }
-    }
-
-    std::stringstream buf;
-    ASSERT_TRUE(writeTrace(t, buf));
-    const auto back = readTrace(buf);
-    ASSERT_TRUE(back.has_value());
-    ASSERT_EQ(back->size(), t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ((*back)[i].pc, t[i].pc);
-        EXPECT_EQ((*back)[i].op, t[i].op);
-        EXPECT_EQ((*back)[i].src1, t[i].src1);
-        EXPECT_EQ((*back)[i].src2, t[i].src2);
-        EXPECT_EQ((*back)[i].dst, t[i].dst);
-        EXPECT_EQ((*back)[i].effAddr, t[i].effAddr);
-        EXPECT_EQ((*back)[i].target, t[i].target);
-        EXPECT_EQ((*back)[i].taken, t[i].taken);
-    }
-}
-
-TEST(TraceIo, RoundTripsExactly)
-{
-    const Trace original = genTrace("gcc", 4000, 5);
-    std::stringstream buf;
-    ASSERT_TRUE(writeTrace(original, buf));
-    const auto back = readTrace(buf);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->benchmark, original.benchmark);
-    EXPECT_EQ(back->threadId, original.threadId);
-    ASSERT_EQ(back->size(), original.size());
-    for (std::size_t i = 0; i < original.size(); ++i) {
-        EXPECT_EQ((*back)[i].pc, original[i].pc);
-        EXPECT_EQ((*back)[i].op, original[i].op);
-        EXPECT_EQ((*back)[i].src1, original[i].src1);
-        EXPECT_EQ((*back)[i].src2, original[i].src2);
-        EXPECT_EQ((*back)[i].dst, original[i].dst);
-        EXPECT_EQ((*back)[i].effAddr, original[i].effAddr);
-        EXPECT_EQ((*back)[i].target, original[i].target);
-        EXPECT_EQ((*back)[i].taken, original[i].taken);
-    }
-}
-
-TEST(TraceIo, FileRoundTrip)
-{
-    const std::string path = "test_trace_io.shtr";
-    const Trace original = genTrace("hmmer", 500, 2);
-    ASSERT_TRUE(writeTraceFile(original, path));
-    const auto back = readTraceFile(path);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->size(), 500u);
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIo, RejectsBadMagic)
-{
-    std::stringstream buf;
-    buf << "NOPE garbage";
-    EXPECT_FALSE(readTrace(buf).has_value());
-}
-
-TEST(TraceIo, RejectsTruncatedStream)
-{
-    const Trace original = genTrace("gcc", 100, 1);
-    std::stringstream buf;
-    ASSERT_TRUE(writeTrace(original, buf));
-    const std::string whole = buf.str();
-    // Chop the last record in half.
-    std::stringstream cut(whole.substr(0, whole.size() - 10));
-    EXPECT_FALSE(readTrace(cut).has_value());
-}
-
-TEST(TraceIo, RejectsWrongVersion)
-{
-    const Trace original = genTrace("gcc", 10, 1);
-    std::stringstream buf;
-    ASSERT_TRUE(writeTrace(original, buf));
-    std::string bytes = buf.str();
-    bytes[4] = 99; // version field
-    std::stringstream bad(bytes);
-    EXPECT_FALSE(readTrace(bad).has_value());
-}
-
-TEST(TraceIo, MissingFileReturnsNullopt)
-{
-    EXPECT_FALSE(readTraceFile("/nonexistent/trace.shtr").has_value());
-}
